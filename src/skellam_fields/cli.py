@@ -14,6 +14,8 @@ import json
 import math
 import sys
 from dataclasses import dataclass, field
+from functools import cached_property
+from typing import Callable
 
 import numpy as np
 
@@ -49,17 +51,6 @@ from .skellam_field import (
 from .series import SeriesControl
 from .suites import DEFAULT_SEED, run_suite, suite_names
 from .verification import McConfig, convergence_study
-
-MODELS = ("PRF", "FPRF", "GSRF", "SRF", "FSRF1", "FSRF2", "FSRF3", "INTEGRAL")
-
-_KNOWN_KEYS = {
-    "model", "lambda", "lambda1", "lambda2", "jumps",
-    "alpha", "beta", "alpha2", "beta2", "nu1", "nu2",
-    "s", "t", "s2", "t2", "u", "n_min", "n_max",
-    "replicates", "seed", "workers",
-    "rel_tol", "max_terms", "consecutive_small",
-    "xi", "k_values", "suite", "step",
-}
 
 
 def _fmt(x) -> str:
@@ -185,7 +176,7 @@ class ExperimentConfig:
                              self.intval("max_terms", 500),
                              self.intval("consecutive_small", 3))
 
-    @property
+    @cached_property
     def fsrf_model(self) -> FsrfModel:
         kind = {"FSRF1": "I", "FSRF2": "II", "FSRF3": "III"}[self.model]
         return FsrfModel(kind, self.skellam, self.orders)
@@ -227,116 +218,196 @@ def _write_output(text: str, path: str | None):
             fh.write(text)
 
 
-def _pmf_table(cfg: ExperimentConfig) -> PmfTable:
-    n_min, n_max = cfg.window
-    ctrl = cfg.series
-    p = cfg.grid_point
-    if cfg.model == "SRF":
-        return srf_pmf_table(cfg.skellam, p.s, p.t, n_min, n_max, ctrl)
-    if cfg.model in ("FSRF1", "FSRF2", "FSRF3"):
-        model = cfg.fsrf_model
-        pmf = {"FSRF1": fsrf1_pmf, "FSRF2": fsrf2_pmf, "FSRF3": fsrf3_pmf}[cfg.model]
-        probs = [pmf(model, p.s, p.t, n, ctrl) for n in range(n_min, n_max + 1)]
-    elif cfg.model == "FPRF":
-        if n_min < 0:
-            raise ValidationError("n_min: must be >= 0 for FPRF")
-        o = cfg.orders
-        probs = [fprf_pmf(cfg.rate, o.alpha, o.beta, p.s, p.t, n, ctrl)
-                 for n in range(n_min, n_max + 1)]
-    elif cfg.model == "PRF":
-        if n_min < 0:
-            raise ValidationError("n_min: must be >= 0 for PRF")
-        mu = cfg.rate * p.s * p.t
-        probs = [math.exp(-mu + n * math.log(mu) - math.lgamma(n + 1)) if mu > 0
-                 else (1.0 if n == 0 else 0.0)
-                 for n in range(n_min, n_max + 1)]
-    else:
-        raise ValidationError(f"model: pmf is not defined for {cfg.model}")
-    # fractional series carry up to ~1e-6 of cancellation noise, which can
-    # leave tiny negative far-tail entries; anything worse is a real error
-    probs = [max(0.0, v) if v > -1e-4 else v for v in probs]
-    return PmfTable.from_probs(n_min, probs)
+# ---------------------------------------------------------------------------
+# Model registry.  Entries call the library through this module's globals at
+# call time (lambdas and small functions, never stored function objects), so
+# a name patched on this module reaches every command.
+
+
+@dataclass(frozen=True)
+class ModelSpec:
+    """What the CLI can do with one model: the config keys the model reads
+    and one callable per command, None where the model defines nothing.
+
+    pmf(cfg, p, ns, ctrl) -> PmfTable over the range ``ns`` at point p
+    sample(cfg, p, rng, n) -> array of n draws at point p
+    moments(cfg, p, p2) -> dict of moments; p2 is None for one point
+    cf(cfg, p, xis) -> the field integral's CF values at ``xis``
+    field(cfg) -> GsrfParams of the jump field ``converge`` refines
+    """
+
+    keys: tuple
+    pmf: Callable | None = None
+    sample: Callable | None = None
+    moments: Callable | None = None
+    cf: Callable | None = None
+    field: Callable | None = None
+
+
+def _box(p: GridPoint) -> BoxRegion:
+    return BoxRegion((0.0, 0.0), (p.s, p.t))
+
+
+def _named(values) -> dict:
+    return dict(zip(("mean", "var", "cov"), values))
+
+
+def _clamped(probs):
+    """pmf callable from one that lists the window's point probabilities.
+
+    Fractional series carry up to ~1e-6 of cancellation noise, which can leave
+    tiny negative far-tail entries; they are clamped to zero, and anything
+    worse is a real error and is kept.
+    """
+    def pmf(cfg, p, ns, ctrl):
+        values = [max(0.0, v) if v > -1e-4 else v for v in probs(cfg, p, ns, ctrl)]
+        return PmfTable.from_probs(ns[0], values)
+    return pmf
+
+
+def _counts(cfg, ns: range) -> range:
+    if ns[0] < 0:
+        raise ValidationError(f"n_min: must be >= 0 for {cfg.model}")
+    return ns
+
+
+def _fprf_params(cfg) -> tuple:
+    o = cfg.orders
+    return cfg.rate, o.alpha, o.beta
+
+
+def _prf_probs(cfg, p, ns, ctrl) -> list:
+    ns = _counts(cfg, ns)
+    mu = cfg.rate * p.s * p.t
+    return [math.exp(-mu + n * math.log(mu) - math.lgamma(n + 1)) if mu > 0
+            else (1.0 if n == 0 else 0.0) for n in ns]
+
+
+def _fprf_probs(cfg, p, ns, ctrl) -> list:
+    ns = _counts(cfg, ns)
+    lam, alpha, beta = _fprf_params(cfg)
+    return [fprf_pmf(lam, alpha, beta, p.s, p.t, n, ctrl) for n in ns]
+
+
+def _prf_moments(cfg, p, p2) -> dict:
+    lam = cfg.rate
+    out = {"mean": lam * p.s * p.t, "var": lam * p.s * p.t}
+    if p2:
+        out["cov"] = lam * min(p.s, p2.s) * min(p.t, p2.t)
+    return out
+
+
+def _gsrf_moments(params, p, p2) -> dict:
+    return _named(gsrf_moments(params, _box(p), _box(p2 or p)))
+
+
+def _prf_cf(cfg, p, xis) -> list:
+    return [prf_integral_cf(cfg.rate, p.s, p.t, xi) for xi in xis]
+
+
+def _gsrf_cf(cfg, p, xis) -> list:
+    log_phi = gsrf_log_cf(cfg.gsrf)
+    return [levy_integral_cf(log_phi, p.s, p.t, xi) for xi in xis]
+
+
+_SKELLAM_KEYS = ("lambda1", "lambda2")
+
+REGISTRY = {
+    "PRF": ModelSpec(
+        ("lambda",),
+        pmf=_clamped(_prf_probs),
+        sample=lambda cfg, p, rng, n: sample_poisson(cfg.rate * p.s * p.t, rng, size=n),
+        moments=_prf_moments,
+        cf=_prf_cf),
+    "FPRF": ModelSpec(
+        ("lambda", "alpha", "beta"),
+        pmf=_clamped(_fprf_probs),
+        sample=lambda cfg, p, rng, n: fprf_sample(*_fprf_params(cfg), p.s, p.t, rng, size=n),
+        moments=lambda cfg, p, p2: _named(fprf_moments(*_fprf_params(cfg), p, p2 or p))),
+    "GSRF": ModelSpec(
+        ("jumps",),
+        sample=lambda cfg, p, rng, n: gsrf_count(cfg.gsrf, _box(p), rng, size=n),
+        moments=lambda cfg, p, p2: _gsrf_moments(cfg.gsrf, p, p2),
+        cf=_gsrf_cf,
+        field=lambda cfg: cfg.gsrf),
+    "SRF": ModelSpec(
+        _SKELLAM_KEYS,
+        pmf=lambda cfg, p, ns, ctrl: srf_pmf_table(cfg.skellam, p.s, p.t, ns[0], ns[-1], ctrl),
+        sample=lambda cfg, p, rng, n: gsrf_count(cfg.skellam.to_gsrf(), _box(p), rng, size=n),
+        moments=lambda cfg, p, p2: _gsrf_moments(cfg.skellam.to_gsrf(), p, p2),
+        field=lambda cfg: cfg.skellam.to_gsrf()),
+    "FSRF1": ModelSpec(
+        _SKELLAM_KEYS + ("alpha", "beta"),
+        pmf=_clamped(lambda cfg, p, ns, ctrl: [fsrf1_pmf(cfg.fsrf_model, p.s, p.t, n, ctrl)
+                                               for n in ns]),
+        sample=lambda cfg, p, rng, n: fsrf1_sample(cfg.fsrf_model, p.s, p.t, rng, size=n),
+        moments=lambda cfg, p, p2: _named(fsrf1_moments(cfg.fsrf_model, p, p2 or p))),
+    "FSRF2": ModelSpec(
+        _SKELLAM_KEYS + ("alpha",),
+        pmf=_clamped(lambda cfg, p, ns, ctrl: [fsrf2_pmf(cfg.fsrf_model, p.s, p.t, n, ctrl)
+                                               for n in ns]),
+        sample=lambda cfg, p, rng, n: fsrf2_sample(cfg.fsrf_model, p.s, p.t, rng, size=n),
+        moments=lambda cfg, p, p2: _named(fsrf2_moments(cfg.fsrf_model, p.s, p.t))),
+    "FSRF3": ModelSpec(
+        _SKELLAM_KEYS + ("alpha", "beta", "alpha2", "beta2"),
+        pmf=_clamped(lambda cfg, p, ns, ctrl: [fsrf3_pmf(cfg.fsrf_model, p.s, p.t, n, ctrl)
+                                               for n in ns]),
+        sample=lambda cfg, p, rng, n: fsrf3_sample(cfg.fsrf_model, p.s, p.t, rng, size=n),
+        moments=lambda cfg, p, p2: _named(fsrf3_moments(cfg.fsrf_model, p, p2 or p))),
+    "INTEGRAL": ModelSpec(
+        ("lambda", "nu1", "nu2"),
+        sample=lambda cfg, p, rng, n: rl_integral_sample(cfg.rate, cfg.integral_orders,
+                                                         p.s, p.t, rng, size=n),
+        moments=lambda cfg, p, p2: _named(rl_integral_moments(cfg.rate, cfg.integral_orders,
+                                                              p.s, p.t)),
+        cf=_prf_cf),
+}
+
+MODELS = tuple(REGISTRY)
+
+# Keys every model accepts: points, pmf window, Monte Carlo and series
+# controls, the CF grid and the lattice refinement levels.
+_SHARED_KEYS = (
+    "model", "s", "t", "s2", "t2", "n_min", "n_max",
+    "replicates", "seed", "workers",
+    "rel_tol", "max_terms", "consecutive_small",
+    "xi", "k_values",
+)
+_KNOWN_KEYS = set(_SHARED_KEYS).union(*(spec.keys for spec in REGISTRY.values()))
+
+
+def _handler(cfg: ExperimentConfig, command: str, attr: str | None = None):
+    """The registry callable behind ``command`` (the ``attr`` field, if named)."""
+    fn = getattr(REGISTRY[cfg.model], attr or command)
+    if fn is None:
+        raise ValidationError(f"model: {command} is not defined for {cfg.model}")
+    return fn
 
 
 def cmd_pmf(args) -> int:
     cfg = load_config(args)
-    table = _pmf_table(cfg)
+    n_min, n_max = cfg.window
+    ctrl = cfg.series
+    p = cfg.grid_point
+    table = _handler(cfg, "pmf")(cfg, p, range(n_min, n_max + 1), ctrl)
     _write_output(table.to_json() + "\n" if args.format == "json" else table.to_csv(),
                   args.output)
     return 0
 
 
-def _draw_samples(cfg: ExperimentConfig) -> np.ndarray:
-    mc = cfg.mc
-    p = cfg.grid_point
-    rng = RngStream(mc.seed)
-    n = mc.replicates
-    if cfg.model == "SRF":
-        region = BoxRegion((0.0, 0.0), (p.s, p.t))
-        return gsrf_count(cfg.skellam.to_gsrf(), region, rng, size=n)
-    if cfg.model == "GSRF":
-        region = BoxRegion((0.0, 0.0), (p.s, p.t))
-        return gsrf_count(cfg.gsrf, region, rng, size=n)
-    if cfg.model == "PRF":
-        return sample_poisson(cfg.rate * p.s * p.t, rng, size=n)
-    if cfg.model == "FPRF":
-        o = cfg.orders
-        return fprf_sample(cfg.rate, o.alpha, o.beta, p.s, p.t, rng, size=n)
-    if cfg.model == "FSRF1":
-        return fsrf1_sample(cfg.fsrf_model, p.s, p.t, rng, size=n)
-    if cfg.model == "FSRF2":
-        return fsrf2_sample(cfg.fsrf_model, p.s, p.t, rng, size=n)
-    if cfg.model == "FSRF3":
-        return fsrf3_sample(cfg.fsrf_model, p.s, p.t, rng, size=n)
-    if cfg.model == "INTEGRAL":
-        return rl_integral_sample(cfg.rate, cfg.integral_orders, p.s, p.t, rng, size=n)
-    raise ValidationError(f"model: sampling is not defined for {cfg.model}")
-
-
 def cmd_sample(args) -> int:
     cfg = load_config(args)
-    draws = _draw_samples(cfg)
+    mc = cfg.mc
+    p = cfg.grid_point
+    draws = _handler(cfg, "sample")(cfg, p, RngStream(mc.seed), mc.replicates)
     _write_output("".join(_fmt(v) + "\n" for v in draws), args.output)
     return 0
 
 
-def _moments(cfg: ExperimentConfig) -> dict:
-    p = cfg.grid_point
-    p2 = cfg.second_point
-    if cfg.model in ("SRF", "GSRF"):
-        params = cfg.skellam.to_gsrf() if cfg.model == "SRF" else cfg.gsrf
-        b1 = BoxRegion((0.0, 0.0), (p.s, p.t))
-        b2 = BoxRegion((0.0, 0.0), (p2.s, p2.t)) if p2 else b1
-        mean, var, cov = gsrf_moments(params, b1, b2)
-        return {"mean": mean, "var": var, "cov": cov}
-    if cfg.model == "PRF":
-        lam = cfg.rate
-        out = {"mean": lam * p.s * p.t, "var": lam * p.s * p.t}
-        if p2:
-            out["cov"] = lam * min(p.s, p2.s) * min(p.t, p2.t)
-        return out
-    if cfg.model == "FPRF":
-        o = cfg.orders
-        mean, var, cov = fprf_moments(cfg.rate, o.alpha, o.beta, p, p2 or p)
-        return {"mean": mean, "var": var, "cov": cov}
-    if cfg.model == "FSRF1":
-        mean, var, cov = fsrf1_moments(cfg.fsrf_model, p, p2 or p)
-        return {"mean": mean, "var": var, "cov": cov}
-    if cfg.model == "FSRF2":
-        mean, var = fsrf2_moments(cfg.fsrf_model, p.s, p.t)
-        return {"mean": mean, "var": var}
-    if cfg.model == "FSRF3":
-        mean, var, cov = fsrf3_moments(cfg.fsrf_model, p, p2 or p)
-        return {"mean": mean, "var": var, "cov": cov}
-    if cfg.model == "INTEGRAL":
-        mean, var = rl_integral_moments(cfg.rate, cfg.integral_orders, p.s, p.t)
-        return {"mean": mean, "var": var}
-    raise ValidationError(f"model: moments are not defined for {cfg.model}")
-
-
 def cmd_moments(args) -> int:
     cfg = load_config(args)
-    moments = _moments(cfg)
+    p = cfg.grid_point
+    moments = _handler(cfg, "moments")(cfg, p, cfg.second_point)
     if args.format == "json":
         text = json.dumps({k: float(v) for k, v in moments.items()}) + "\n"
     else:
@@ -350,13 +421,7 @@ def cmd_cf(args) -> int:
     cfg = load_config(args)
     p = cfg.grid_point
     xis = cfg.xi_grid()
-    if cfg.model in ("PRF", "INTEGRAL"):
-        values = [prf_integral_cf(cfg.rate, p.s, p.t, xi) for xi in xis]
-    elif cfg.model == "GSRF":
-        log_phi = gsrf_log_cf(cfg.gsrf)
-        values = [levy_integral_cf(log_phi, p.s, p.t, xi) for xi in xis]
-    else:
-        raise ValidationError(f"model: integral CF is not defined for {cfg.model}")
+    values = _handler(cfg, "cf")(cfg, p, xis)
     if args.format == "json":
         rows = [{"xi": xi, "re": v.real, "im": v.imag} for xi, v in zip(xis, values)]
         text = json.dumps(rows) + "\n"
@@ -370,7 +435,7 @@ def cmd_cf(args) -> int:
 
 def cmd_converge(args) -> int:
     cfg = load_config(args)
-    params = cfg.gsrf if cfg.model == "GSRF" else cfg.skellam.to_gsrf()
+    params = _handler(cfg, "converge", "field")(cfg)
     p = cfg.grid_point
     reports = convergence_study(params, p.s, p.t, cfg.k_values(), cfg.mc)
     if args.format == "json":
@@ -413,7 +478,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, workers=True):
+    def common(p, workers):
         p.add_argument("--config", help="flat key=value config file")
         p.add_argument("--set", action="append", metavar="KEY=VALUE",
                        help="override a config key (repeatable)")
@@ -426,7 +491,7 @@ def build_parser() -> argparse.ArgumentParser:
     for name, fn in (("pmf", cmd_pmf), ("sample", cmd_sample), ("moments", cmd_moments),
                      ("cf", cmd_cf), ("converge", cmd_converge)):
         p = sub.add_parser(name, help=f"{name} command")
-        common(p)
+        common(p, workers=name == "converge")
         p.set_defaults(func=fn)
 
     pv = sub.add_parser("verify", help="run a named verification suite")

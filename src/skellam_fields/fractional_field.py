@@ -18,7 +18,13 @@ from functools import lru_cache
 import numpy as np
 from scipy.special import roots_jacobi
 
-from .errors import ArgumentRangeError, QuadratureError, ValidationError
+from .errors import (
+    ArgumentRangeError,
+    ConvergenceGuardError,
+    QuadratureError,
+    SeriesNonConvergenceError,
+    ValidationError,
+)
 from .rng import RngStream
 from .sampling import (
     sample_inverse_subordinator,
@@ -126,7 +132,9 @@ def fprf_pmf(lam: float, alpha: float, beta: float, s: float, t: float, n: int,
 
     Alternating series sum_{k>=n} (-1)^{k-n} k_(k-n) k_(n) x^k /
     (Gamma(k a + 1) Gamma(k b + 1)) with x = lam s^a t^b, written over
-    m = k - n with falling factorials expanded through log-gamma.
+    m = k - n with falling factorials expanded through log-gamma.  The log of
+    a term grows like k log k (1 - alpha - beta), so for x > 0 the series
+    diverges when alpha + beta < 1.
     """
     if n < 0:
         raise ValidationError("n: must be >= 0")
@@ -139,6 +147,10 @@ def fprf_pmf(lam: float, alpha: float, beta: float, s: float, t: float, n: int,
     x = lam * s ** alpha * t ** beta
     if x == 0.0:
         return 1.0 if n == 0 else 0.0
+    if alpha + beta < 1.0:
+        raise ConvergenceGuardError(
+            f"fprf_pmf: alpha + beta = {alpha + beta:g} < 1, the series diverges"
+        )
     lx = math.log(x)
     lg_n = _lgamma(n + 1)
 
@@ -147,6 +159,11 @@ def fprf_pmf(lam: float, alpha: float, beta: float, s: float, t: float, n: int,
             k = n + m
             lg = (2.0 * _lgamma(k + 1) - lg_n - _lgamma(m + 1) + k * lx
                   - _lgamma(k * alpha + 1.0) - _lgamma(k * beta + 1.0))
+            if lg > 700.0:
+                raise SeriesNonConvergenceError(
+                    f"fprf_pmf(n={n}): series term magnitude e^{lg:.0f} exceeds "
+                    "the double-precision range"
+                )
             t_ = math.exp(lg)
             yield -t_ if m % 2 else t_
 

@@ -62,14 +62,8 @@ def _checked_lgamma(x: float, where: str) -> float:
 _EPS = 2.220446049250313e-16
 
 
-def _signed_power_terms(log_coeffs, x: float) -> Iterator[float]:
-    """Yield exp(lg + n*log|x|) * sign(x)^n from (lg, magnitude) pairs."""
-    for t, _ in _tracked_power_terms(log_coeffs, x):
-        yield t
-
-
 def _tracked_power_terms(log_coeffs, x: float) -> Iterator[tuple]:
-    """Like :func:`_signed_power_terms` but yields (term, term_noise).
+    """Yield (exp(lg + n*log|x|) * sign(x)^n, term_noise) from (lg, mag) pairs.
 
     ``log_coeffs`` yields (lg, mag) with mag an upper bound on the summed
     magnitudes of the log-gamma values inside lg.  A term assembled as
@@ -194,15 +188,7 @@ def wright(spec: WrightSpec, x: float,
     satisfies; the pmf series that call this never place a gamma pole on the
     summation path.
     """
-    if spec.convergence_margin <= 0.0:
-        raise ConvergenceGuardError(
-            f"wright: convergence margin {spec.convergence_margin:g} is not positive"
-        )
-    if abs(x) > WRIGHT_MAX_ARG:
-        raise ArgumentRangeError(f"wright: |x| must be <= {WRIGHT_MAX_ARG}, got {x}")
-
-    return sum_series(_signed_power_terms(_wright_log_coeffs(spec, ctrl), x),
-                      ctrl, label=f"wright(x={x})")
+    return wright_tracked(spec, x, ctrl)[0]
 
 
 def _wright_log_coeffs(spec: WrightSpec, ctrl: SeriesControl):

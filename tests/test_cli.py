@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from skellam_fields import PmfTable
-from skellam_fields.cli import main, parse_config_text
+from skellam_fields.cli import MODELS, build_parser, main, parse_config_text
 from skellam_fields.errors import ValidationError
 
 
@@ -83,10 +83,12 @@ def test_invalid_rate_names_field(capsys):
 
 
 def test_unknown_key_rejected(capsys):
-    code = main(["pmf", "--set", "model=SRF", "--set", "lambda1=2", "--set", "lambda2=1",
-                 "--set", "s=1", "--set", "t=1", "--set", "bogus_key=3"])
-    assert code == 2
-    assert "bogus_key" in capsys.readouterr().err
+    # step, u and suite were once accepted although no command reads them
+    for key in ("bogus_key", "step", "u", "suite"):
+        code = main(["pmf", "--set", "model=SRF", "--set", "lambda1=2", "--set", "lambda2=1",
+                     "--set", "s=1", "--set", "t=1", "--set", f"{key}=3"])
+        assert code == 2
+        assert repr(key) in capsys.readouterr().err
 
 
 def test_sample_reproducible(tmp_path):
@@ -187,3 +189,63 @@ def test_cli_entry_point_runs():
                           capture_output=True, text=True)
     assert proc.returncode == 0
     assert proc.stdout.startswith("n,prob\n")
+
+
+def test_fprf_divergent_orders_exit_cleanly(capsys):
+    code = main(["pmf", "--set", "model=FPRF", "--set", "lambda=1", "--set", "alpha=0.5",
+                 "--set", "beta=0.3", "--set", "s=1", "--set", "t=1", "--set", "n_min=0"])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "alpha + beta" in err
+    assert "Traceback" not in err
+
+
+def test_workers_flag_only_on_mc_commands():
+    parser = build_parser()
+    assert parser.parse_args(["converge", "--workers", "2"]).workers == 2
+    assert parser.parse_args(["verify", "--suite", "all", "--workers", "2"]).workers == 2
+    for command in ("pmf", "sample", "moments", "cf"):
+        with pytest.raises(SystemExit):
+            parser.parse_args([command, "--workers", "2"])
+
+
+DESK_MODELS = {
+    "PRF": ["lambda=1"],
+    "FPRF": ["lambda=1", "alpha=0.7", "beta=0.7"],
+    "GSRF": ["jumps=1:2,-1:1"],
+    "SRF": ["lambda1=2", "lambda2=1"],
+    "FSRF1": ["lambda1=1", "lambda2=0.5", "alpha=0.7", "beta=0.7"],
+    "FSRF2": ["lambda1=1", "lambda2=0.5", "alpha=0.7"],
+    "FSRF3": ["lambda1=1", "lambda2=0.5", "alpha=0.7", "beta=0.7", "alpha2=0.9", "beta2=0.9"],
+    "INTEGRAL": ["lambda=1", "nu1=0.5", "nu2=1.5"],
+}
+COMMAND_SETTINGS = {
+    "pmf": ["n_min=0", "n_max=3"],
+    "sample": ["replicates=200"],
+    "moments": ["s2=1.5", "t2=1.2"],
+    "cf": ["xi=0,1"],
+    "converge": ["k_values=8", "replicates=20000"],
+}
+# (model, command) pairs the paper defines nothing for.
+UNDEFINED = {("GSRF", "pmf"), ("INTEGRAL", "pmf"),
+             *((m, "cf") for m in ("FPRF", "SRF", "FSRF1", "FSRF2", "FSRF3")),
+             *((m, "converge") for m in ("PRF", "FPRF", "FSRF1", "FSRF2", "FSRF3",
+                                         "INTEGRAL"))}
+
+
+def test_registry_lists_every_model():
+    assert MODELS == tuple(DESK_MODELS)
+
+
+@pytest.mark.parametrize("command", list(COMMAND_SETTINGS))
+@pytest.mark.parametrize("model", MODELS)
+def test_every_model_command_pair(model, command, capsys):
+    settings = [f"model={model}", "s=1", "t=1", *DESK_MODELS[model],
+                *COMMAND_SETTINGS[command]]
+    code = main([command, *(arg for kv in settings for arg in ("--set", kv)), "--seed", "3"])
+    err = capsys.readouterr().err
+    if (model, command) in UNDEFINED:
+        assert code == 2
+        assert f"{command} is not defined for {model}" in err
+    else:
+        assert code == 0, err

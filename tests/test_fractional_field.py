@@ -6,10 +6,12 @@ from scipy.integrate import quad
 
 from skellam_fields import (
     ArgumentRangeError,
+    ConvergenceGuardError,
     FracOrders,
     FsrfModel,
     GridPoint,
     RngStream,
+    SeriesNonConvergenceError,
     SkellamParams,
     ValidationError,
     empirical_pmf,
@@ -81,6 +83,15 @@ class TestFprf:
     def test_negative_n_rejected(self):
         with pytest.raises(ValidationError):
             fprf_pmf(1.0, 0.7, 0.7, 1.0, 1.0, -1)
+
+    def test_divergent_orders_rejected(self):
+        with pytest.raises(ConvergenceGuardError):
+            fprf_pmf(1.0, 0.5, 0.3, 1.0, 1.0, 0)
+        assert fprf_pmf(1.0, 0.5, 0.3, 0.0, 1.0, 0) == 1.0  # zero area: no series
+
+    def test_overflowing_term_raises(self):
+        with pytest.raises(SeriesNonConvergenceError):
+            fprf_pmf(60.0, 0.7, 0.7, 1.0, 1.0, 0)
 
     def test_series_vs_sampler(self):
         draws = fprf_sample(1.0, 0.7, 0.7, 1.0, 1.0, RngStream(21), size=30_000)
