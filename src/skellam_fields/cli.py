@@ -85,9 +85,9 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.model not in MODELS:
             raise ValidationError(f"model: must be one of {', '.join(MODELS)}")
-        unknown = set(self.raw) - _KNOWN_KEYS
+        unknown = set(self.raw).difference(_SHARED_KEYS, REGISTRY[self.model].keys)
         if unknown:
-            raise ValidationError(f"config: unknown keys {sorted(unknown)}")
+            raise ValidationError(f"config: unknown keys {sorted(unknown)} for model {self.model}")
 
     # -- typed accessors ----------------------------------------------------
     def _get(self, key, cast, default=None, required=False):
@@ -373,7 +373,6 @@ _SHARED_KEYS = (
     "rel_tol", "max_terms", "consecutive_small",
     "xi", "k_values",
 )
-_KNOWN_KEYS = set(_SHARED_KEYS).union(*(spec.keys for spec in REGISTRY.values()))
 
 
 def _handler(cfg: ExperimentConfig, command: str, attr: str | None = None):

@@ -3,10 +3,12 @@
 Three fractional Skellam variants are covered: the doubly time-changed field
 (kind I, Wright-series pmf), the singly time-changed field (kind II,
 Mittag-Leffler-series pmf), and the difference of two independent fractional
-Poisson fields with separate orders (kind III, double series with an inner
-four-over-five Wright function).  Samplers draw the defining time changes
-exactly through the inverse-subordinator identities; series evaluators and
-closed-form moments provide the analytic side of every cross-check.
+Poisson fields with separate orders (kind III, pmf as the convolution of the
+two fractional Poisson pmfs, with no support cap; it raises
+ConvergenceGuardError when a component has alpha + beta < 1).  Samplers draw
+the defining time changes exactly through the inverse-subordinator
+identities; series evaluators and closed-form moments provide the analytic
+side of every cross-check.
 """
 
 from __future__ import annotations
@@ -19,7 +21,6 @@ import numpy as np
 from scipy.special import roots_jacobi
 
 from .errors import (
-    ArgumentRangeError,
     ConvergenceGuardError,
     QuadratureError,
     SeriesNonConvergenceError,
@@ -31,14 +32,13 @@ from .sampling import (
     sample_inverse_subordinator_path,
     DEFAULT_PATH_STEP,
 )
-from .series import DEFAULT_CONTROL, SeriesControl, sum_series, sum_series_tracked
+from .series import _EPS, DEFAULT_CONTROL, SeriesControl, sum_series, sum_series_tracked
 from .skellam_field import GridPoint, SkellamParams, srf_pde_residual
 from .specfun import WrightSpec, mittag_leffler2, mittag_leffler3, wright_tracked
 
 __all__ = [
     "FracOrders",
     "FsrfModel",
-    "FSRF3_SUPPORT_CAP",
     "fprf_pmf",
     "fprf_moments",
     "fprf_sample",
@@ -59,16 +59,12 @@ __all__ = [
     "singular_cov_integral_checked",
 ]
 
-# Evaluating the kind-III double series costs a triple sum; beyond this the
-# sampler is the reference.
-FSRF3_SUPPORT_CAP = 12
-
 # Node-doubling agreement demanded of the covariance quadrature.
 _QUAD_STABILITY = 1e-9
 
-# Cancellation budget of the Wright-backed pmf series, applied to a
+# Cancellation budget of the fractional pmf series, applied to a
 # conservative upper-bound noise estimate (summed log-gamma magnitudes times
-# machine epsilon per term).  The alternating inner sums cancel harder as the
+# machine epsilon per term).  The alternating sums cancel harder as the
 # rate sum grows and the orders shrink; outside the stable envelope the
 # estimate blows past any cap within a few outer terms and evaluation aborts
 # instead of returning rounding garbage.  Desk-scale parameter sets stay
@@ -126,6 +122,33 @@ class FsrfModel:
 # Fractional Poisson random field
 
 
+def _fprf_terms(x: float, alpha: float, beta: float, n: int, ctrl: SeriesControl):
+    """(term, noise) pairs of the fractional Poisson pmf series at x > 0.
+
+    The noise of a term assembled as exp(sum of log-gammas) is the term times
+    the summed log-gamma magnitudes plus 2, times machine epsilon.
+    """
+    if alpha + beta < 1.0:
+        raise ConvergenceGuardError(
+            f"fprf_pmf: alpha + beta = {alpha + beta:g} < 1, the series diverges"
+        )
+    lx = math.log(x)
+    lg_n = _lgamma(n + 1)
+    for m in range(ctrl.max_terms + 1):
+        k = n + m
+        lg_k, lg_m, kx = _lgamma(k + 1), _lgamma(m + 1), k * lx
+        lg_a, lg_b = _lgamma(k * alpha + 1.0), _lgamma(k * beta + 1.0)
+        lg = 2.0 * lg_k - lg_n - lg_m + kx - lg_a - lg_b
+        if lg > 700.0:
+            raise SeriesNonConvergenceError(
+                f"fprf_pmf(n={n}): series term magnitude e^{lg:.0f} exceeds "
+                "the double-precision range"
+            )
+        t_ = math.exp(lg)
+        mag = 2.0 * lg_k + lg_n + lg_m + abs(kx) + abs(lg_a) + abs(lg_b)
+        yield (-t_ if m % 2 else t_), t_ * (mag + 2.0) * _EPS
+
+
 def fprf_pmf(lam: float, alpha: float, beta: float, s: float, t: float, n: int,
              ctrl: SeriesControl = DEFAULT_CONTROL) -> float:
     """Point probability of the doubly time-changed Poisson field.
@@ -134,7 +157,8 @@ def fprf_pmf(lam: float, alpha: float, beta: float, s: float, t: float, n: int,
     (Gamma(k a + 1) Gamma(k b + 1)) with x = lam s^a t^b, written over
     m = k - n with falling factorials expanded through log-gamma.  The log of
     a term grows like k log k (1 - alpha - beta), so for x > 0 the series
-    diverges when alpha + beta < 1.
+    diverges when alpha + beta < 1.  The sum aborts once its cancellation
+    noise passes SERIES_NOISE_CAP.
     """
     if n < 0:
         raise ValidationError("n: must be >= 0")
@@ -147,27 +171,9 @@ def fprf_pmf(lam: float, alpha: float, beta: float, s: float, t: float, n: int,
     x = lam * s ** alpha * t ** beta
     if x == 0.0:
         return 1.0 if n == 0 else 0.0
-    if alpha + beta < 1.0:
-        raise ConvergenceGuardError(
-            f"fprf_pmf: alpha + beta = {alpha + beta:g} < 1, the series diverges"
-        )
-    lx = math.log(x)
-    lg_n = _lgamma(n + 1)
-
-    def terms():
-        for m in range(ctrl.max_terms + 1):
-            k = n + m
-            lg = (2.0 * _lgamma(k + 1) - lg_n - _lgamma(m + 1) + k * lx
-                  - _lgamma(k * alpha + 1.0) - _lgamma(k * beta + 1.0))
-            if lg > 700.0:
-                raise SeriesNonConvergenceError(
-                    f"fprf_pmf(n={n}): series term magnitude e^{lg:.0f} exceeds "
-                    "the double-precision range"
-                )
-            t_ = math.exp(lg)
-            yield -t_ if m % 2 else t_
-
-    return sum_series(terms(), ctrl, label=f"fprf_pmf(n={n})")
+    value, _ = sum_series_tracked(_fprf_terms(x, alpha, beta, n, ctrl), ctrl,
+                                  label=f"fprf_pmf(n={n})", noise_cap=SERIES_NOISE_CAP)
+    return value
 
 
 @lru_cache(maxsize=64)
@@ -490,56 +496,39 @@ def fsrf3_sample(model: FsrfModel, s: float, t: float, rng: RngStream,
 
 def fsrf3_pmf(model: FsrfModel, s: float, t: float, n: int,
               ctrl: SeriesControl = DEFAULT_CONTROL) -> float:
-    """Double-series point probability with an inner 4Psi5 Wright function.
+    """Point probability of N1 - N2 as the convolution of the component pmfs.
 
-    The branch for negative n swaps the two component fields, so the
-    symmetric case (equal rates and orders) is even in n by construction.
+    Sums p1(|n| + k) p2(k) over k >= 0, each factor a fractional Poisson
+    series summed without a cap; the products carry the factors' noises and
+    their sum aborts once the noise passes SERIES_NOISE_CAP.  A component
+    with alpha + beta < 1 raises ConvergenceGuardError.  The branch for
+    negative n swaps the two component fields, so the symmetric case (equal
+    rates and orders) is even in n by construction.
     """
     _require_kind(model, "III")
-    if abs(n) > FSRF3_SUPPORT_CAP:
-        raise ArgumentRangeError(
-            f"n: series evaluation is capped at |n| <= {FSRF3_SUPPORT_CAP}; "
-            "use the sampler beyond that")
     if s < 0.0 or t < 0.0:
         raise ValidationError("s/t: must be >= 0")
     l1, l2 = model.params.lambda1, model.params.lambda2
     o = model.orders
-    if n >= 0:
-        la, aa, ba = l1, o.alpha, o.beta
-        lb, ab, bb = l2, o.alpha2, o.beta2
-    else:
-        la, aa, ba = l2, o.alpha2, o.beta2
-        lb, ab, bb = l1, o.alpha, o.beta
+    fields = [(l1, o.alpha, o.beta), (l2, o.alpha2, o.beta2)]
+    (la, aa, ba), (lb, ab, bb) = fields if n >= 0 else fields[::-1]
     m = abs(n)
     ya = la * s ** aa * t ** ba
     yb = lb * s ** ab * t ** bb
     if ya == 0.0 or yb == 0.0:
         return 1.0 if n == 0 else 0.0
-    x = l1 * l2 * s ** (o.alpha + o.alpha2) * t ** (o.beta + o.beta2)
-    lya, lyb = math.log(ya), math.log(yb)
 
-    def row(r):
-        def terms():
-            for l in range(ctrl.max_terms + 1):
-                spec = WrightSpec(
-                    upper=((r + m + 1.0, 1.0), (r + m + 1.0, 1.0),
-                           (l + 1.0, 1.0), (l + 1.0, 1.0)),
-                    lower=((m + 1.0, 1.0),
-                           ((r + m) * aa + 1.0, aa), ((r + m) * ba + 1.0, ba),
-                           (l * ab + 1.0, ab), (l * bb + 1.0, bb)),
-                )
-                coef = math.exp((r + m) * lya + l * lyb - _lgamma(r + 1) - _lgamma(l + 1))
-                w, w_noise = wright_tracked(spec, x, ctrl)
-                signed = -coef * w if (r + l) % 2 else coef * w
-                yield signed, coef * w_noise
+    def component(y, alpha, beta, k):
+        return sum_series_tracked(_fprf_terms(y, alpha, beta, k, ctrl), ctrl,
+                                  label=f"fsrf3_pmf(n={n}) component pmf at {k}")
 
-        return sum_series_tracked(terms(), ctrl, label=f"fsrf3_pmf(n={n}) row r={r}")
+    def terms():
+        for k in range(ctrl.max_terms + 1):
+            pa, ea = component(ya, aa, ba, m + k)
+            pb, eb = component(yb, ab, bb, k)
+            yield pa * pb, ea * abs(pb) + abs(pa) * eb + ea * eb
 
-    def rows():
-        for r in range(ctrl.max_terms + 1):
-            yield row(r)
-
-    value, _ = sum_series_tracked(rows(), ctrl, label=f"fsrf3_pmf(n={n})",
+    value, _ = sum_series_tracked(terms(), ctrl, label=f"fsrf3_pmf(n={n})",
                                   noise_cap=SERIES_NOISE_CAP)
     return value
 

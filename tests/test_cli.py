@@ -83,12 +83,18 @@ def test_invalid_rate_names_field(capsys):
 
 
 def test_unknown_key_rejected(capsys):
-    # step, u and suite were once accepted although no command reads them
-    for key in ("bogus_key", "step", "u", "suite"):
+    # step, u and suite were once accepted although no command reads them;
+    # alpha and nu1 are read by other models, and SRF once ignored them
+    for key in ("bogus_key", "step", "u", "suite", "alpha", "nu1"):
         code = main(["pmf", "--set", "model=SRF", "--set", "lambda1=2", "--set", "lambda2=1",
                      "--set", "s=1", "--set", "t=1", "--set", f"{key}=3"])
         assert code == 2
         assert repr(key) in capsys.readouterr().err
+    code = main(["moments", "--set", "model=SRF", "--set", "lambda1=2", "--set", "lambda2=1",
+                 "--set", "s=1", "--set", "t=1", "--set", "alpha=0.5", "--set", "nu1=3"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "'alpha'" in err and "'nu1'" in err and "SRF" in err
 
 
 def test_sample_reproducible(tmp_path):
@@ -191,12 +197,16 @@ def test_cli_entry_point_runs():
     assert proc.stdout.startswith("n,prob\n")
 
 
-def test_fprf_divergent_orders_exit_cleanly(capsys):
-    code = main(["pmf", "--set", "model=FPRF", "--set", "lambda=1", "--set", "alpha=0.5",
-                 "--set", "beta=0.3", "--set", "s=1", "--set", "t=1", "--set", "n_min=0"])
+@pytest.mark.parametrize("settings, cause", [
+    (["lambda=1", "alpha=0.5", "beta=0.3", "n_min=0"], "alpha + beta"),
+    (["lambda=2", "alpha=0.7", "beta=0.7", "n_min=0", "n_max=12"], "cancellation noise"),
+], ids=["divergent-orders", "cancellation-noise"])
+def test_fprf_divergent_orders_exit_cleanly(settings, cause, capsys):
+    settings = ["model=FPRF", "s=1", "t=1", *settings]
+    code = main(["pmf", *(arg for kv in settings for arg in ("--set", kv))])
     assert code == 1
     err = capsys.readouterr().err
-    assert err.startswith("error:") and "alpha + beta" in err
+    assert err.startswith("error:") and cause in err
     assert "Traceback" not in err
 
 

@@ -5,7 +5,6 @@ import pytest
 from scipy.integrate import quad
 
 from skellam_fields import (
-    ArgumentRangeError,
     ConvergenceGuardError,
     FracOrders,
     FsrfModel,
@@ -37,6 +36,8 @@ from skellam_fields import (
     srf_pmf,
     tv_distance,
 )
+from skellam_fields.series import DEFAULT_CONTROL, sum_series_tracked
+from skellam_fields.specfun import WrightSpec, wright_tracked
 
 PARAMS = SkellamParams(1.0, 0.5)
 P11 = GridPoint(1.0, 1.0)
@@ -92,6 +93,11 @@ class TestFprf:
     def test_overflowing_term_raises(self):
         with pytest.raises(SeriesNonConvergenceError):
             fprf_pmf(60.0, 0.7, 0.7, 1.0, 1.0, 0)
+
+    def test_cancellation_noise_raises(self):
+        # at rate 2 the alternating series for n = 12 cancels down to noise
+        with pytest.raises(SeriesNonConvergenceError, match="cancellation noise"):
+            fprf_pmf(2.0, 0.7, 0.7, 1.0, 1.0, 12)
 
     def test_series_vs_sampler(self):
         draws = fprf_sample(1.0, 0.7, 0.7, 1.0, 1.0, RngStream(21), size=30_000)
@@ -341,8 +347,47 @@ class TestFsrf2:
         assert abs(draws.mean() - mean) / math.sqrt(var / draws.size) < 4.0
 
 
+def _paper_double_series(model, s, t, n, ctrl=DEFAULT_CONTROL):
+    """The paper's kind-III pmf: a double series over rows r and columns l
+    with an inner 4Psi5 Wright function, kept as a reference for the
+    convolution.  It swaps the components for n < 0 as the library does."""
+    l1, l2 = model.params.lambda1, model.params.lambda2
+    o = model.orders
+    if n >= 0:
+        la, aa, ba = l1, o.alpha, o.beta
+        lb, ab, bb = l2, o.alpha2, o.beta2
+    else:
+        la, aa, ba = l2, o.alpha2, o.beta2
+        lb, ab, bb = l1, o.alpha, o.beta
+    m = abs(n)
+    lya = math.log(la * s ** aa * t ** ba)
+    lyb = math.log(lb * s ** ab * t ** bb)
+    x = l1 * l2 * s ** (o.alpha + o.alpha2) * t ** (o.beta + o.beta2)
+
+    def row(r):
+        def terms():
+            for l in range(ctrl.max_terms + 1):
+                spec = WrightSpec(
+                    upper=((r + m + 1.0, 1.0), (r + m + 1.0, 1.0),
+                           (l + 1.0, 1.0), (l + 1.0, 1.0)),
+                    lower=((m + 1.0, 1.0),
+                           ((r + m) * aa + 1.0, aa), ((r + m) * ba + 1.0, ba),
+                           (l * ab + 1.0, ab), (l * bb + 1.0, bb)),
+                )
+                coef = math.exp((r + m) * lya + l * lyb - math.lgamma(r + 1)
+                                - math.lgamma(l + 1))
+                w, w_noise = wright_tracked(spec, x, ctrl)
+                yield (-coef * w if (r + l) % 2 else coef * w), coef * w_noise
+
+        return sum_series_tracked(terms(), ctrl)
+
+    rows = (row(r) for r in range(ctrl.max_terms + 1))
+    return sum_series_tracked(rows, ctrl)[0]
+
+
 class TestFsrf3:
     MODEL = FsrfModel("III", PARAMS, FracOrders(0.7, 0.7, 0.9, 0.9))
+    SYMMETRIC = FsrfModel("III", SkellamParams(0.8, 0.8), FracOrders(0.7, 0.8, 0.7, 0.8))
 
     def test_all_orders_one_collapse(self):
         params = SkellamParams(2.0, 1.0)
@@ -352,13 +397,33 @@ class TestFsrf3:
                 srf_pmf(params, 1.0, 1.0, n), abs=1e-8)
 
     def test_symmetric_case_exactly_even(self):
-        model = FsrfModel("III", SkellamParams(0.8, 0.8), FracOrders(0.7, 0.8, 0.7, 0.8))
         for n in (1, 2, 3, 4):
-            assert fsrf3_pmf(model, 1.0, 1.0, n) == fsrf3_pmf(model, 1.0, 1.0, -n)
+            assert (fsrf3_pmf(self.SYMMETRIC, 1.0, 1.0, n)
+                    == fsrf3_pmf(self.SYMMETRIC, 1.0, 1.0, -n))
 
-    def test_support_cap(self):
-        with pytest.raises(ArgumentRangeError):
-            fsrf3_pmf(self.MODEL, 1.0, 1.0, 13)
+    def test_window_beyond_twelve(self):
+        for n in (13, -13):
+            p = fsrf3_pmf(self.MODEL, 1.0, 1.0, n)
+            assert math.isfinite(p) and p >= 0.0
+        total = sum(fsrf3_pmf(self.MODEL, 1.0, 1.0, n) for n in range(-30, 31))
+        assert total == pytest.approx(1.0, abs=1e-9)
+
+    @pytest.mark.parametrize("model", [MODEL, SYMMETRIC], ids=["desk", "symmetric"])
+    def test_matches_paper_double_series(self, model):
+        for n in range(-5, 6):
+            assert fsrf3_pmf(model, 1.0, 1.0, n) == pytest.approx(
+                _paper_double_series(model, 1.0, 1.0, n), abs=1e-10)
+
+    def test_against_extended_precision_oracle(self):
+        # frozen values from a 110-digit mpmath run of the convolution; a
+        # 140-digit rerun agrees to 60 digits, and the paper's double series
+        # summed in mpmath agrees to 1e-13 or better
+        model = FsrfModel("III", SkellamParams(2.0, 1.0), FracOrders(0.7, 0.7, 0.9, 0.9))
+        oracle = {-2: 0.070212309131240129526187071334271408304760968358474,
+                  0: 0.20831224218160021271527418579841012890242278940546,
+                  2: 0.11395699440885067727079252218068927068866628142139}
+        for n, value in oracle.items():
+            assert fsrf3_pmf(model, 1.0, 1.0, n) == pytest.approx(value, abs=1e-6)
 
     def test_zero_area(self):
         assert fsrf3_pmf(self.MODEL, 0.0, 1.0, 0) == 1.0
