@@ -25,7 +25,6 @@ from .rng import RngStream
 from .sampling import (
     BoxRegion,
     PointProcessSample,
-    SubordinatorPath,
     count_at,
     sample_inverse_subordinator,
     sample_inverse_subordinator_path,

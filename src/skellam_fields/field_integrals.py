@@ -9,7 +9,6 @@ point in closed form, so no mesh discretization error enters any comparison.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -24,7 +23,6 @@ from .skellam_field import GsrfParams
 __all__ = [
     "IntegralOrders",
     "CfGrid",
-    "CfComparison",
     "rl_integral_sample",
     "rl_integral_moments",
     "prf_integral_cf",
@@ -33,7 +31,6 @@ __all__ = [
     "scaled_compound_sample",
     "prf_log_cf",
     "gsrf_log_cf",
-    "cf_comparison_json",
 ]
 
 # Node-doubling agreement demanded of the unit-square CF quadrature.
@@ -236,27 +233,3 @@ def scaled_compound_sample(lam: float, jump_law: Callable[[np.random.Generator, 
     out *= s * t
     return float(out[0]) if size is None else out
 
-
-@dataclass(frozen=True)
-class CfComparison:
-    """Analytic vs empirical CF values over a grid."""
-
-    xi: tuple
-    analytic: tuple    # complex values
-    empirical: tuple   # complex values
-
-    @property
-    def sup_abs_error(self) -> float:
-        return max(abs(a - e) for a, e in zip(self.analytic, self.empirical))
-
-
-def cf_comparison_json(cmp_: CfComparison) -> str:
-    rows = []
-    for xi, a, e in zip(cmp_.xi, cmp_.analytic, cmp_.empirical):
-        rows.append({
-            "xi": float(xi),
-            "analytic_re": float(a.real), "analytic_im": float(a.imag),
-            "empirical_re": float(e.real), "empirical_im": float(e.imag),
-            "abs_error": abs(a - e),
-        })
-    return json.dumps(rows)

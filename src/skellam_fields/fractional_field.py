@@ -1,11 +1,12 @@
 """Fractional Poisson and fractional Skellam random fields on the plane.
 
 Three fractional Skellam variants are covered: the doubly time-changed field
-(kind I, Wright-series pmf), the singly time-changed field (kind II,
-Mittag-Leffler-series pmf), and the difference of two independent fractional
-Poisson fields with separate orders (kind III, pmf as the convolution of the
-two fractional Poisson pmfs, with no support cap; it raises
-ConvergenceGuardError when a component has alpha + beta < 1).  Samplers draw
+(kind I, Wright-series pmf), the singly time-changed field (kind II, which is
+kind I at beta = 1 and shares its Wright series, sampler and moments), and the
+difference of two independent fractional Poisson fields with separate orders
+(kind III, pmf as the convolution of the two fractional Poisson pmfs, with no
+support cap; it raises ConvergenceGuardError when a component has
+alpha + beta < 1).  Every pmf series sums under SERIES_NOISE_CAP.  Samplers draw
 the defining time changes exactly through the inverse-subordinator
 identities; series evaluators and closed-form moments provide the analytic
 side of every cross-check.
@@ -32,6 +33,7 @@ from .sampling import (
     sample_inverse_subordinator_path,
     DEFAULT_PATH_STEP,
 )
+# sum_series and mittag_leffler3 are unused here: the benchmark tracer patches them.
 from .series import _EPS, DEFAULT_CONTROL, SeriesControl, sum_series, sum_series_tracked
 from .skellam_field import GridPoint, SkellamParams, srf_pde_residual
 from .specfun import WrightSpec, mittag_leffler2, mittag_leffler3, wright_tracked
@@ -116,6 +118,10 @@ class FsrfModel:
             raise ValidationError("kind: must be one of 'I', 'II', 'III'")
         if self.kind == "III" and self.orders.alpha2 is None:
             raise ValidationError("orders: kind III requires alpha2 and beta2")
+        if self.kind != "III" and self.orders.alpha2 is not None:
+            raise ValidationError(f"orders: kind {self.kind} takes no alpha2/beta2")
+        if self.kind == "II" and self.orders.beta != 1.0:
+            raise ValidationError("beta: kind II time-changes only the first axis; beta must be 1")
 
 
 # ---------------------------------------------------------------------------
@@ -300,27 +306,37 @@ def _require_kind(model: FsrfModel, kind: str):
         raise ValidationError(f"kind: expected a kind-{kind} model, got kind {model.kind}")
 
 
+def _time_changed_sample(params: SkellamParams, alpha: float, beta: float, s: float,
+                         t: float, rng: RngStream, size: int | None):
+    """Skellam field at one inverse-subordinator draw per axis; an order-1
+    axis keeps its time, since E(t) = t at order 1 draws nothing."""
+    gen = rng.generator
+    e1 = np.asarray(sample_inverse_subordinator(alpha, s, rng, size=size))
+    e2 = np.asarray(sample_inverse_subordinator(beta, t, rng, size=size))
+    area = e1 * e2
+    out = gen.poisson(params.lambda1 * area, size=size) \
+        - gen.poisson(params.lambda2 * area, size=size)
+    return int(out) if size is None else out
+
+
 def fsrf1_sample(model: FsrfModel, s: float, t: float, rng: RngStream,
                  size: int | None = None):
     """Skellam field evaluated at one inverse-subordinator draw per axis."""
     _require_kind(model, "I")
-    gen = rng.generator
-    e1 = np.asarray(sample_inverse_subordinator(model.orders.alpha, s, rng, size=size))
-    e2 = np.asarray(sample_inverse_subordinator(model.orders.beta, t, rng, size=size))
-    area = e1 * e2
-    out = gen.poisson(model.params.lambda1 * area, size=size) \
-        - gen.poisson(model.params.lambda2 * area, size=size)
-    return int(out) if size is None else out
+    return _time_changed_sample(model.params, model.orders.alpha, model.orders.beta,
+                                s, t, rng, size)
 
 
-def fsrf1_pmf(model: FsrfModel, s: float, t: float, n: int,
-              ctrl: SeriesControl = DEFAULT_CONTROL) -> float:
-    """Wright-series point probability of the doubly time-changed field."""
-    _require_kind(model, "I")
+def _time_changed_pmf(params: SkellamParams, alpha: float, beta: float, s: float,
+                      t: float, n: int, ctrl: SeriesControl, label: str) -> float:
+    """Wright-series point probability of N(E1(s), E2(t)) under the noise cap.
+
+    An order-1 axis contributes no row pair: its Gamma(m + 1 + r) rows above
+    and below cancel exactly.
+    """
     if s < 0.0 or t < 0.0:
         raise ValidationError("s/t: must be >= 0")
-    l1, l2 = model.params.lambda1, model.params.lambda2
-    alpha, beta = model.orders.alpha, model.orders.beta
+    l1, l2 = params.lambda1, params.lambda2
     q = s ** alpha * t ** beta
     if q == 0.0:
         return 1.0 if n == 0 else 0.0
@@ -331,21 +347,41 @@ def fsrf1_pmf(model: FsrfModel, s: float, t: float, n: int,
     # fold (l1/l2)^{n/2} into the term logs so the noise cap gates the value
     # actually returned
     lpref = 0.5 * n * math.log(l1 / l2)
+    orders = tuple(o for o in (alpha, beta) if o < 1.0)
 
     def terms():
         for k in range(ctrl.max_terms + 1):
             m = m0 + 2 * k
-            spec = WrightSpec(
-                upper=((m + 1.0, 1.0), (m + 1.0, 1.0)),
-                lower=((m * alpha + 1.0, alpha), (m * beta + 1.0, beta)),
-            )
+            spec = WrightSpec(upper=((m + 1.0, 1.0),) * len(orders),
+                              lower=tuple((m * o + 1.0, o) for o in orders))
             coef = math.exp(lpref + m * ly - _lgamma(m0 + k + 1) - _lgamma(k + 1))
             w, w_noise = wright_tracked(spec, x, ctrl)
             yield coef * w, coef * w_noise
 
-    value, _ = sum_series_tracked(terms(), ctrl, label=f"fsrf1_pmf(n={n})",
+    value, _ = sum_series_tracked(terms(), ctrl, label=f"{label}(n={n})",
                                   noise_cap=SERIES_NOISE_CAP)
     return value
+
+
+def fsrf1_pmf(model: FsrfModel, s: float, t: float, n: int,
+              ctrl: SeriesControl = DEFAULT_CONTROL) -> float:
+    """Wright-series point probability of the doubly time-changed field."""
+    _require_kind(model, "I")
+    return _time_changed_pmf(model.params, model.orders.alpha, model.orders.beta,
+                             s, t, n, ctrl, "fsrf1_pmf")
+
+
+def _time_changed_mean_var(params: SkellamParams, alpha: float, beta: float,
+                           s: float, t: float):
+    """Closed-form (mean, var) of N(E1(s), E2(t))."""
+    l1, l2 = params.lambda1, params.lambda2
+    ga1, gb1 = _gamma(alpha + 1.0), _gamma(beta + 1.0)
+    q = s ** alpha * t ** beta
+    mean = (l1 - l2) * q / (ga1 * gb1)
+    var = ((l1 + l2) * q / (ga1 * gb1)
+           + 4.0 * (l1 - l2) ** 2 * q * q / (_gamma(2.0 * alpha + 1.0) * _gamma(2.0 * beta + 1.0))
+           - (l1 - l2) ** 2 * q * q / (ga1 ** 2 * gb1 ** 2))
+    return mean, var
 
 
 def fsrf1_moments(model: FsrfModel, p1: GridPoint, p2: GridPoint):
@@ -354,19 +390,15 @@ def fsrf1_moments(model: FsrfModel, p1: GridPoint, p2: GridPoint):
     l1, l2 = model.params.lambda1, model.params.lambda2
     alpha, beta = model.orders.alpha, model.orders.beta
     s, t = p1.s, p1.t
-    ga1, gb1 = _gamma(alpha + 1.0), _gamma(beta + 1.0)
-    q = s ** alpha * t ** beta
-    mean = (l1 - l2) * q / (ga1 * gb1)
-    var = ((l1 + l2) * q / (ga1 * gb1)
-           + 4.0 * (l1 - l2) ** 2 * q * q / (_gamma(2.0 * alpha + 1.0) * _gamma(2.0 * beta + 1.0))
-           - (l1 - l2) ** 2 * q * q / (ga1 ** 2 * gb1 ** 2))
+    mean, var = _time_changed_mean_var(model.params, alpha, beta, s, t)
     if p2.s < p1.s or p2.t < p1.t:
         raise ValidationError("p1/p2: covariance requires p1 <= p2 coordinatewise")
+    ga1, gb1 = _gamma(alpha + 1.0), _gamma(beta + 1.0)
     i_s = singular_cov_integral(s, p2.s, alpha)
     i_t = singular_cov_integral(t, p2.t, beta)
     cov = ((l1 - l2) ** 2 * (i_s / (ga1 * _gamma(alpha)) * i_t / (gb1 * _gamma(beta))
                              - (s * p2.s) ** alpha * (t * p2.t) ** beta / (ga1 ** 2 * gb1 ** 2))
-           + (l1 + l2) * q / (ga1 * gb1))
+           + (l1 + l2) * s ** alpha * t ** beta / (ga1 * gb1))
     return mean, var, cov
 
 
@@ -416,42 +448,21 @@ def fsrf1_pgf_pde_residual(model: FsrfModel, u: float, s: float, t: float,
 
 def fsrf2_sample(model: FsrfModel, s: float, t: float, rng: RngStream,
                  size: int | None = None):
-    """Skellam field with the first axis time-changed."""
+    """Skellam field with the first axis time-changed: kind I at beta = 1."""
     _require_kind(model, "II")
-    gen = rng.generator
-    e = np.asarray(sample_inverse_subordinator(model.orders.alpha, s, rng, size=size))
-    area = e * t
-    out = gen.poisson(model.params.lambda1 * area, size=size) \
-        - gen.poisson(model.params.lambda2 * area, size=size)
-    return int(out) if size is None else out
+    return _time_changed_sample(model.params, model.orders.alpha, 1.0, s, t, rng, size)
 
 
 def fsrf2_pmf(model: FsrfModel, s: float, t: float, n: int,
               ctrl: SeriesControl = DEFAULT_CONTROL) -> float:
-    """Mittag-Leffler-series point probability of the singly time-changed field."""
+    """Point probability of the singly time-changed field.
+
+    Kind II is kind I at beta = 1, so this is the kind-I Wright series with
+    the single row pair of the first axis, summed under SERIES_NOISE_CAP.
+    """
     _require_kind(model, "II")
-    if s < 0.0 or t < 0.0:
-        raise ValidationError("s/t: must be >= 0")
-    l1, l2 = model.params.lambda1, model.params.lambda2
-    alpha = model.orders.alpha
-    q = s ** alpha * t
-    if q == 0.0:
-        return 1.0 if n == 0 else 0.0
-    m0 = abs(n)
-    y = math.sqrt(l1 * l2) * q
-    x = -(l1 + l2) * q
-    ly = math.log(y)
-
-    def terms():
-        for k in range(ctrl.max_terms + 1):
-            m = m0 + 2 * k
-            coef = math.exp(_lgamma(m + 1) - _lgamma(m0 + k + 1) - _lgamma(k + 1) + m * ly)
-            # Second parameter alpha*m + 1: forced by the Laplace pair that
-            # inverts the s-domain transform; without the +1 the table does
-            # not normalize (the test suite ships the quadrature oracle).
-            yield coef * mittag_leffler3(alpha, alpha * m + 1.0, m + 1.0, x, ctrl)
-
-    return (l1 / l2) ** (n / 2.0) * sum_series(terms(), ctrl, label=f"fsrf2_pmf(n={n})")
+    return _time_changed_pmf(model.params, model.orders.alpha, 1.0, s, t, n, ctrl,
+                             "fsrf2_pmf")
 
 
 def fsrf2_pgf(model: FsrfModel, u: float, s: float, t: float,
@@ -469,14 +480,7 @@ def fsrf2_pgf(model: FsrfModel, u: float, s: float, t: float,
 def fsrf2_moments(model: FsrfModel, s: float, t: float):
     """Closed-form (mean, var) of the singly time-changed field."""
     _require_kind(model, "II")
-    l1, l2 = model.params.lambda1, model.params.lambda2
-    alpha = model.orders.alpha
-    ga1 = _gamma(alpha + 1.0)
-    mean = (l1 - l2) * s ** alpha * t / ga1
-    var = ((l1 + l2) * s ** alpha * t / ga1
-           + (l1 - l2) ** 2 * s ** (2.0 * alpha) * t * t
-           * (2.0 / _gamma(2.0 * alpha + 1.0) - 1.0 / ga1 ** 2))
-    return mean, var
+    return _time_changed_mean_var(model.params, model.orders.alpha, 1.0, s, t)
 
 
 # ---------------------------------------------------------------------------

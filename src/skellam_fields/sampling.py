@@ -21,7 +21,6 @@ from .rng import RngStream
 __all__ = [
     "BoxRegion",
     "PointProcessSample",
-    "SubordinatorPath",
     "sample_poisson",
     "sample_point_field",
     "count_at",
@@ -73,10 +72,6 @@ class BoxRegion:
         for lo1, hi1, lo2, hi2 in zip(self.lower, self.upper, other.lower, other.upper):
             out *= max(0.0, min(hi1, hi2) - max(lo1, lo2))
         return out
-
-
-def unit_square() -> BoxRegion:
-    return BoxRegion((0.0, 0.0), (1.0, 1.0))
 
 
 @dataclass(frozen=True)
@@ -250,27 +245,3 @@ def sample_inverse_subordinator_path(alpha: float, time_grid: Sequence[float],
         out = _inverse_subordinator_paths(alpha, grid, step, rng.generator, n)
     return out[0] if size is None else out
 
-
-@dataclass(frozen=True)
-class SubordinatorPath:
-    """A realized nondecreasing path of E(t) over a grid starting at 0."""
-
-    alpha: float
-    time_grid: tuple
-    values: tuple
-
-    def __post_init__(self):
-        grid = tuple(float(v) for v in self.time_grid)
-        vals = tuple(float(v) for v in self.values)
-        object.__setattr__(self, "time_grid", grid)
-        object.__setattr__(self, "values", vals)
-        if not 0.0 < self.alpha <= 1.0:
-            raise ValidationError("alpha: must be in (0, 1]")
-        if len(grid) != len(vals) or not grid:
-            raise ValidationError("values: must match time_grid length")
-        if grid[0] != 0.0 or vals[0] != 0.0:
-            raise ValidationError("time_grid/values: must start at 0")
-        if any(b <= a for a, b in zip(grid, grid[1:])):
-            raise ValidationError("time_grid: must be strictly increasing")
-        if any(b < a for a, b in zip(vals, vals[1:])):
-            raise ValidationError("values: must be nondecreasing")

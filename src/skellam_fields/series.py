@@ -47,43 +47,20 @@ DEFAULT_CONTROL = SeriesControl()
 
 def sum_series(terms: Iterable[float], ctrl: SeriesControl = DEFAULT_CONTROL,
                label: str = "series") -> float:
-    """Sum ``terms`` under the stopping rule with compensated accumulation.
+    """Sum ``terms`` under the stopping rule; :func:`sum_series_tracked`
+    with zero per-term noise and no cap."""
+    return sum_series_tracked(((t, 0.0) for t in terms), ctrl, label)[0]
+
+
+def sum_series_tracked(terms: Iterable[tuple], ctrl: SeriesControl = DEFAULT_CONTROL,
+                       label: str = "series", noise_cap: float | None = None) -> tuple:
+    """Sum (term, term_noise) pairs under the stopping rule with compensated
+    accumulation, returning (value, noise).
 
     ``terms`` may be an infinite generator; it is consumed until the rule
     fires.  A generator that ends on its own is treated as a finite sum.
     Raises SeriesNonConvergenceError if ``ctrl.max_terms`` terms were consumed
     without the rule firing.
-    """
-    total = 0.0
-    comp = 0.0  # Neumaier compensation
-    small = 0
-    count = 0
-    for term in terms:
-        count += 1
-        t = total + term
-        if abs(total) >= abs(term):
-            comp += (total - t) + term
-        else:
-            comp += (term - t) + total
-        total = t
-        # A zero term (underflow) is negligible even when the sum is still 0.
-        if term == 0.0 or abs(term) < ctrl.rel_tol * abs(total + comp):
-            small += 1
-            if small >= ctrl.consecutive_small:
-                return total + comp
-        else:
-            small = 0
-        if count >= ctrl.max_terms:
-            raise SeriesNonConvergenceError(
-                f"{label}: no convergence within {ctrl.max_terms} terms"
-            )
-    return total + comp
-
-
-def sum_series_tracked(terms: Iterable[tuple], ctrl: SeriesControl = DEFAULT_CONTROL,
-                       label: str = "series", noise_cap: float | None = None) -> tuple:
-    """Like :func:`sum_series` for (term, term_noise) pairs, returning
-    (value, noise).
 
     The returned noise bounds the cancellation error of the sum: machine
     epsilon times the largest term magnitude seen, plus the propagated
@@ -93,7 +70,7 @@ def sum_series_tracked(terms: Iterable[tuple], ctrl: SeriesControl = DEFAULT_CON
     noise exceeds it.
     """
     total = 0.0
-    comp = 0.0
+    comp = 0.0  # Neumaier compensation
     noise = 0.0
     max_abs = 0.0
     small = 0
@@ -113,6 +90,7 @@ def sum_series_tracked(terms: Iterable[tuple], ctrl: SeriesControl = DEFAULT_CON
         else:
             comp += (term - t) + total
         total = t
+        # A zero term (underflow) is negligible even when the sum is still 0.
         if term == 0.0 or abs(term) < ctrl.rel_tol * abs(total + comp):
             small += 1
             if small >= ctrl.consecutive_small:

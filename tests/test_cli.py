@@ -198,11 +198,14 @@ def test_cli_entry_point_runs():
 
 
 @pytest.mark.parametrize("settings, cause", [
-    (["lambda=1", "alpha=0.5", "beta=0.3", "n_min=0"], "alpha + beta"),
-    (["lambda=2", "alpha=0.7", "beta=0.7", "n_min=0", "n_max=12"], "cancellation noise"),
-], ids=["divergent-orders", "cancellation-noise"])
+    (["model=FPRF", "lambda=1", "alpha=0.5", "beta=0.3", "s=1", "n_min=0"], "alpha + beta"),
+    (["model=FPRF", "lambda=2", "alpha=0.7", "beta=0.7", "s=1", "n_min=0", "n_max=12"],
+     "cancellation noise"),
+    (["model=FSRF2", "lambda1=1", "lambda2=0.5", "alpha=0.7", "s=7", "n_min=-3", "n_max=3"],
+     "cancellation noise"),
+], ids=["divergent-orders", "cancellation-noise", "fsrf2-cancellation-noise"])
 def test_fprf_divergent_orders_exit_cleanly(settings, cause, capsys):
-    settings = ["model=FPRF", "s=1", "t=1", *settings]
+    settings = [*settings, "t=1"]
     code = main(["pmf", *(arg for kv in settings for arg in ("--set", kv))])
     assert code == 1
     err = capsys.readouterr().err

@@ -19,7 +19,6 @@ from skellam_fields import (
     rl_integral_sample,
     scaled_compound_sample,
 )
-from skellam_fields.field_integrals import CfComparison, cf_comparison_json
 
 GRID = CfGrid.default()
 RIEMANN = IntegralOrders(1.0, 1.0)
@@ -176,15 +175,3 @@ class TestScaledCompound:
         with pytest.raises(ValidationError):
             scaled_compound_sample(5.0, lambda g, n: np.ones(n + 1), 1.0, 1.0,
                                    RngStream(53), size=10)
-
-
-class TestCfComparisonReport:
-    def test_json_fields(self):
-        import json
-
-        cmp_ = CfComparison((0.0, 1.0), (1.0 + 0j, 0.5 + 0.1j), (1.0 + 0j, 0.48 + 0.12j))
-        rows = json.loads(cf_comparison_json(cmp_))
-        assert rows[0]["xi"] == 0.0
-        assert set(rows[1]) == {"xi", "analytic_re", "analytic_im",
-                                "empirical_re", "empirical_im", "abs_error"}
-        assert cmp_.sup_abs_error == pytest.approx(abs(0.5 + 0.1j - 0.48 - 0.12j))

@@ -63,6 +63,12 @@ class TestFracTypes:
             FsrfModel("IV", PARAMS, FracOrders(0.5, 0.5))
         with pytest.raises(ValidationError):
             FsrfModel("III", PARAMS, FracOrders(0.5, 0.5))
+        # orders a kind does not read are rejected, not ignored
+        with pytest.raises(ValidationError, match="beta"):
+            FsrfModel("II", PARAMS, FracOrders(0.5, 0.7))
+        for kind in ("I", "II"):
+            with pytest.raises(ValidationError, match="alpha2/beta2"):
+                FsrfModel(kind, PARAMS, FracOrders(0.5, 1.0, 0.7, 0.7))
 
     def test_kind_mismatch_rejected(self):
         model = FsrfModel("I", PARAMS, FracOrders(0.5, 0.5))
@@ -184,12 +190,14 @@ class TestFsrf1:
         assert tv_distance(empirical_pmf(draws, -8, 8), analytic) < 0.03
 
     def test_against_extended_precision_oracle(self):
-        # frozen values from an adaptive-truncation mpmath (150 dps) run of
-        # the defining double series; the double-precision evaluator carries
-        # about 1e-6 of cancellation noise at these parameters
+        # frozen 52-digit values of the defining double series (mpmath; an
+        # 80-digit and a 110-digit run agree); the double-precision evaluator
+        # carries up to ~2e-6 of cancellation noise at these parameters
         model = FsrfModel("I", PARAMS, FracOrders(0.7, 0.7))
-        assert fsrf1_pmf(model, 1.0, 1.0, 0) == pytest.approx(0.43428216678199076, abs=4e-6)
-        assert fsrf1_pmf(model, 1.0, 1.0, 5) == pytest.approx(0.010875559851933328, abs=4e-6)
+        assert fsrf1_pmf(model, 1.0, 1.0, 0) == pytest.approx(
+            0.434282163377504803036717377756526514779573107339338, abs=4e-6)
+        assert fsrf1_pmf(model, 1.0, 1.0, 5) == pytest.approx(
+            0.01087564887119464555882444814563889295312995203100642, abs=4e-6)
 
     def test_moment_reduction_at_orders_one(self):
         model = FsrfModel("I", SkellamParams(2.0, 1.0), FracOrders(1.0, 1.0))
@@ -275,17 +283,35 @@ class TestFsrf2:
         assert fsrf2_sample(model, 1.0, 0.0, RngStream(29)) == 0
 
     def test_laplace_inversion_oracle(self):
-        # quadrature of the series pmf against the closed-form transform; this
-        # is what forces the +1 in the Mittag-Leffler second parameter.  The
-        # integration stops at s = 8 (the series' stable range at these
-        # rates); with w >= 2 the neglected tail is ~1e-8 relative.
+        # quadrature of the pmf (the kind-I Wright series at beta = 1) against
+        # the closed-form s-domain transform of the paper's kind-II pmf.  The
+        # integration stops at s = 5, inside the series' stable range at these
+        # rates (the noise cap fires from s ~ 5.5); since 0 <= p <= 1 the
+        # neglected tail is at most e^{-5w}/w, which is <= 5e-7 of each
+        # closed value at these (n, w).
         model = FsrfModel("II", PARAMS, FracOrders(0.7))
-        for n, w in ((0, 2.0), (1, 2.5), (-2, 3.0)):
+        for n, w in ((0, 3.0), (1, 3.5), (-2, 4.0)):
             numeric, err = quad(lambda s: math.exp(-w * s) * fsrf2_pmf(model, s, 1.0, n),
-                                0.0, 8.0, limit=300)
+                                0.0, 5.0, limit=300)
             closed = fsrf2_laplace_closed_form(PARAMS, 0.7, 1.0, n, w)
             assert err < 1e-7
             assert numeric == pytest.approx(closed, rel=1e-5)
+
+    def test_cancellation_noise_raises(self):
+        # at s = 7 the alternating series cancels down to noise (its partial
+        # sum is off by 0.04 from the true 0.1702)
+        model = FsrfModel("II", PARAMS, FracOrders(0.7))
+        with pytest.raises(SeriesNonConvergenceError, match="fsrf2_pmf"):
+            fsrf2_pmf(model, 7.0, 1.0, 0)
+
+    def test_against_extended_precision_oracle(self):
+        # frozen 52-digit values of the paper's Mittag-Leffler series
+        # (mpmath) at the desk model
+        model = FsrfModel("II", PARAMS, FracOrders(0.7))
+        for n, value in ((-3, 0.006318595699068940620142072173486359583328061700822745),
+                         (0, 0.3960976558548974942623473423722243442437113706751526),
+                         (5, 0.00601597173195616894742875065827081392286944439520965)):
+            assert fsrf2_pmf(model, 1.0, 1.0, n) == pytest.approx(value, abs=1e-12)
 
     def test_printed_subscript_variant_fails_normalization(self):
         # the same series with second parameter alpha*m (no +1) is not a pmf

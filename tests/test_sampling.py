@@ -9,7 +9,6 @@ from scipy import stats
 from skellam_fields import (
     BoxRegion,
     RngStream,
-    SubordinatorPath,
     ValidationError,
     count_at,
     mittag_leffler2,
@@ -245,17 +244,3 @@ class TestInverseSubordinatorPath:
         a = sample_inverse_subordinator_path(0.6, [0.5, 1.0], 1e-2, RngStream(19), size=50)
         b = sample_inverse_subordinator_path(0.6, [0.5, 1.0], 1e-2, RngStream(19), size=50)
         assert np.array_equal(a, b)
-
-
-class TestSubordinatorPath:
-    def test_valid(self):
-        path = SubordinatorPath(0.5, (0.0, 1.0, 2.0), (0.0, 0.4, 0.4))
-        assert path.values[-1] == 0.4
-
-    def test_invariants(self):
-        with pytest.raises(ValidationError):
-            SubordinatorPath(0.5, (0.0, 1.0), (0.1, 0.4))
-        with pytest.raises(ValidationError):
-            SubordinatorPath(0.5, (0.0, 1.0), (0.0, -0.1))
-        with pytest.raises(ValidationError):
-            SubordinatorPath(0.5, (0.0, 1.0, 0.5), (0.0, 0.1, 0.2))
