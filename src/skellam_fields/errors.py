@@ -29,7 +29,7 @@ class GammaDomainError(SkellamFieldsError, ValueError):
 
 
 class ConvergenceGuardError(SkellamFieldsError, ValueError):
-    """A Wright parameter set fails the entire-function sufficiency guard."""
+    """A Wright parameter set has a negative convergence margin: its series diverges."""
 
 
 class QuadratureError(SkellamFieldsError, ArithmeticError):

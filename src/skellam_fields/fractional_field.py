@@ -1,11 +1,15 @@
 """Fractional Poisson and fractional Skellam random fields on the plane.
 
-Three fractional Skellam variants are covered: the doubly time-changed field
-(kind I, Wright-series pmf), the singly time-changed field (kind II, which is
-kind I at beta = 1 and shares its Wright series, sampler and moments), and the
-difference of two independent fractional Poisson fields with separate orders
-(kind III, pmf as the convolution of the two fractional Poisson pmfs, with no
-support cap; it raises ConvergenceGuardError when a component has
+Every field here is a Skellam field with rates (l1, l2) evaluated at the
+inverse-subordinator time changes N(E1(s), E2(t)), and one core serves them
+all: a Wright-series pmf, a sampler, and closed-form mean, variance and
+covariance.  The fractional Poisson field (FPRF) is the doubly time-changed
+field at l2 = 0, whose pmf is the k = 0 term of the kind-I series.  Three
+fractional Skellam variants are covered: the doubly time-changed field
+(kind I), the singly time-changed field (kind II, which is kind I at
+beta = 1), and the difference of two independent fractional Poisson fields
+with separate orders (kind III, pmf as the convolution of the two FPRF pmfs,
+with no support cap; it raises ConvergenceGuardError when a component has
 alpha + beta < 1).  Every pmf series sums under SERIES_NOISE_CAP.  Samplers draw
 the defining time changes exactly through the inverse-subordinator
 identities; series evaluators and closed-form moments provide the analytic
@@ -24,7 +28,7 @@ from scipy.special import roots_jacobi
 from .errors import (
     ConvergenceGuardError,
     QuadratureError,
-    SeriesNonConvergenceError,
+    SkellamFieldsError,
     ValidationError,
 )
 from .rng import RngStream
@@ -34,7 +38,7 @@ from .sampling import (
     DEFAULT_PATH_STEP,
 )
 # sum_series and mittag_leffler3 are unused here: the benchmark tracer patches them.
-from .series import _EPS, DEFAULT_CONTROL, SeriesControl, sum_series, sum_series_tracked
+from .series import DEFAULT_CONTROL, SeriesControl, sum_series, sum_series_tracked
 from .skellam_field import GridPoint, SkellamParams, srf_pde_residual
 from .specfun import WrightSpec, mittag_leffler2, mittag_leffler3, wright_tracked
 
@@ -125,46 +129,101 @@ class FsrfModel:
 
 
 # ---------------------------------------------------------------------------
-# Fractional Poisson random field
+# The time-changed Skellam field N(E1(s), E2(t)): the core of every model
 
 
-def _fprf_terms(x: float, alpha: float, beta: float, n: int, ctrl: SeriesControl):
-    """(term, noise) pairs of the fractional Poisson pmf series at x > 0.
+def _time_changed_pmf(l1: float, l2: float, alpha: float, beta: float, s: float,
+                      t: float, n: int, ctrl: SeriesControl, label: str,
+                      noise_cap: float | None = SERIES_NOISE_CAP) -> tuple:
+    """Wright-series point probability of N(E1(s), E2(t)) for a Skellam field
+    with rates (l1, l2), returned as (value, noise) and summed under noise_cap.
 
-    The noise of a term assembled as exp(sum of log-gammas) is the term times
-    the summed log-gamma magnitudes plus 2, times machine epsilon.
+    With q = s^alpha t^beta, the k-th term is (l_a q)^(|n|+k) (l_b q)^k /
+    ((|n|+k)! k!) times a Wright value at -(l1 + l2) q, where (l_a, l_b) is
+    (l1, l2) for n >= 0 and (l2, l1) for n < 0.  With l_b = 0 (a Poisson
+    field) only k = 0 is summed.  An order-1 axis contributes no row pair: its
+    Gamma(m + 1 + r) rows above and below cancel exactly.  A refusal of the
+    Wright evaluator is re-raised with label and n in front.
     """
-    if alpha + beta < 1.0:
-        raise ConvergenceGuardError(
-            f"fprf_pmf: alpha + beta = {alpha + beta:g} < 1, the series diverges"
-        )
-    lx = math.log(x)
-    lg_n = _lgamma(n + 1)
-    for m in range(ctrl.max_terms + 1):
-        k = n + m
-        lg_k, lg_m, kx = _lgamma(k + 1), _lgamma(m + 1), k * lx
-        lg_a, lg_b = _lgamma(k * alpha + 1.0), _lgamma(k * beta + 1.0)
-        lg = 2.0 * lg_k - lg_n - lg_m + kx - lg_a - lg_b
-        if lg > 700.0:
-            raise SeriesNonConvergenceError(
-                f"fprf_pmf(n={n}): series term magnitude e^{lg:.0f} exceeds "
-                "the double-precision range"
-            )
-        t_ = math.exp(lg)
-        mag = 2.0 * lg_k + lg_n + lg_m + abs(kx) + abs(lg_a) + abs(lg_b)
-        yield (-t_ if m % 2 else t_), t_ * (mag + 2.0) * _EPS
+    if s < 0.0 or t < 0.0:
+        raise ValidationError("s/t: must be >= 0")
+    q = s ** alpha * t ** beta
+    if q == 0.0:
+        return (1.0 if n == 0 else 0.0), 0.0
+    m0 = abs(n)
+    la, lb = (l1, l2) if n >= 0 else (l2, l1)
+    lqa = math.log(la * q)
+    lqb = math.log(lb * q) if lb > 0.0 else 0.0
+    x = -(l1 + l2) * q
+    orders = tuple(o for o in (alpha, beta) if o < 1.0)
+    where = f"{label}(n={n})"
+
+    def terms():
+        for k in range(ctrl.max_terms + 1 if lb > 0.0 else 1):
+            m = m0 + 2 * k
+            spec = WrightSpec(upper=((m + 1.0, 1.0),) * len(orders),
+                              lower=tuple((m * o + 1.0, o) for o in orders))
+            coef = math.exp((m0 + k) * lqa + k * lqb - _lgamma(m0 + k + 1) - _lgamma(k + 1))
+            try:
+                w, w_noise = wright_tracked(spec, x, ctrl)
+            except SkellamFieldsError as e:
+                raise type(e)(f"{where}: {e}") from e
+            yield coef * w, coef * w_noise
+
+    return sum_series_tracked(terms(), ctrl, label=where, noise_cap=noise_cap)
+
+
+def _time_changed_sample(l1: float, l2: float, alpha: float, beta: float, s: float,
+                         t: float, rng: RngStream, size: int | None):
+    """Skellam field at one inverse-subordinator draw per axis; an order-1
+    axis keeps its time, since E(t) = t at order 1 draws nothing, and a zero
+    rate draws nothing either."""
+    gen = rng.generator
+    e1 = np.asarray(sample_inverse_subordinator(alpha, s, rng, size=size))
+    e2 = np.asarray(sample_inverse_subordinator(beta, t, rng, size=size))
+    area = e1 * e2
+    out = gen.poisson(l1 * area, size=size) - gen.poisson(l2 * area, size=size)
+    return int(out) if size is None else out
+
+
+def _time_changed_mean_var(l1: float, l2: float, alpha: float, beta: float,
+                           s: float, t: float):
+    """Closed-form (mean, var) of N(E1(s), E2(t))."""
+    ga1, gb1 = _gamma(alpha + 1.0), _gamma(beta + 1.0)
+    q = s ** alpha * t ** beta
+    mean = (l1 - l2) * q / (ga1 * gb1)
+    var = ((l1 + l2) * q / (ga1 * gb1)
+           + 4.0 * (l1 - l2) ** 2 * q * q / (_gamma(2.0 * alpha + 1.0) * _gamma(2.0 * beta + 1.0))
+           - (l1 - l2) ** 2 * q * q / (ga1 ** 2 * gb1 ** 2))
+    return mean, var
+
+
+def _time_changed_cov(l1: float, l2: float, alpha: float, beta: float,
+                      p1: GridPoint, p2: GridPoint) -> float:
+    """Closed-form covariance of N(E1(s), E2(t)) at two grid points."""
+    s, t, sp, tp = p1.s, p1.t, p2.s, p2.t
+    ga1, gb1 = _gamma(alpha + 1.0), _gamma(beta + 1.0)
+    i_s = singular_cov_integral(s, sp, alpha)
+    i_t = singular_cov_integral(t, tp, beta)
+    return ((l1 - l2) ** 2 * (i_s / (ga1 * _gamma(alpha)) * i_t / (gb1 * _gamma(beta))
+                              - (s * sp) ** alpha * (t * tp) ** beta / (ga1 ** 2 * gb1 ** 2))
+            + (l1 + l2) * min(s, sp) ** alpha * min(t, tp) ** beta / (ga1 * gb1))
+
+
+# ---------------------------------------------------------------------------
+# Fractional Poisson random field
 
 
 def fprf_pmf(lam: float, alpha: float, beta: float, s: float, t: float, n: int,
              ctrl: SeriesControl = DEFAULT_CONTROL) -> float:
     """Point probability of the doubly time-changed Poisson field.
 
-    Alternating series sum_{k>=n} (-1)^{k-n} k_(k-n) k_(n) x^k /
-    (Gamma(k a + 1) Gamma(k b + 1)) with x = lam s^a t^b, written over
-    m = k - n with falling factorials expanded through log-gamma.  The log of
-    a term grows like k log k (1 - alpha - beta), so for x > 0 the series
-    diverges when alpha + beta < 1.  The sum aborts once its cancellation
-    noise passes SERIES_NOISE_CAP.
+    FPRF is kind I with lambda2 = 0, so this is the k = 0 term of the kind-I
+    Wright series: (x^n / n!) 2Psi2[(n+1, 1), (n+1, 1); (n a + 1, a),
+    (n b + 1, b)](-x) with x = lam s^a t^b, summed under SERIES_NOISE_CAP.
+    The log of a Wright term grows like r log r (1 - alpha - beta), so for
+    x > 0 the series diverges when alpha + beta < 1; at alpha + beta = 1 it
+    converges only for x below alpha^alpha beta^beta.
     """
     if n < 0:
         raise ValidationError("n: must be >= 0")
@@ -172,14 +231,11 @@ def fprf_pmf(lam: float, alpha: float, beta: float, s: float, t: float, n: int,
         raise ValidationError("lam: must be > 0")
     if not (_order_ok(alpha) and _order_ok(beta)):
         raise ValidationError("alpha/beta: must be in (0, 1]")
-    if s < 0.0 or t < 0.0:
-        raise ValidationError("s/t: must be >= 0")
-    x = lam * s ** alpha * t ** beta
-    if x == 0.0:
-        return 1.0 if n == 0 else 0.0
-    value, _ = sum_series_tracked(_fprf_terms(x, alpha, beta, n, ctrl), ctrl,
-                                  label=f"fprf_pmf(n={n})", noise_cap=SERIES_NOISE_CAP)
-    return value
+    if alpha + beta < 1.0 and s > 0.0 and t > 0.0:
+        raise ConvergenceGuardError(
+            f"fprf_pmf: alpha + beta = {alpha + beta:g} < 1, the series diverges"
+        )
+    return _time_changed_pmf(lam, 0.0, alpha, beta, s, t, n, ctrl, "fprf_pmf")[0]
 
 
 @lru_cache(maxsize=64)
@@ -224,29 +280,6 @@ def singular_cov_integral_checked(s: float, sp: float, alpha: float):
     return v64, rel
 
 
-def _fprf_mean(lam, alpha, beta, s, t):
-    return lam * s ** alpha * t ** beta / (_gamma(alpha + 1.0) * _gamma(beta + 1.0))
-
-
-def _fprf_var(lam, alpha, beta, s, t):
-    m = _fprf_mean(lam, alpha, beta, s, t)
-    q = lam * s ** alpha * t ** beta
-    return (m + 4.0 * q * q / (_gamma(2.0 * alpha + 1.0) * _gamma(2.0 * beta + 1.0))
-            - q * q / (_gamma(alpha + 1.0) ** 2 * _gamma(beta + 1.0) ** 2))
-
-
-def _fprf_cov(lam, alpha, beta, p1: GridPoint, p2: GridPoint):
-    s, t, sp, tp = p1.s, p1.t, p2.s, p2.t
-    cs, ct = min(s, sp), min(t, tp)
-    i_s = singular_cov_integral(s, sp, alpha)
-    i_t = singular_cov_integral(t, tp, beta)
-    ga1, gb1 = _gamma(alpha + 1.0), _gamma(beta + 1.0)
-    return (lam * cs ** alpha * ct ** beta / (ga1 * gb1)
-            - lam * lam * (s * sp) ** alpha * (t * tp) ** beta / (ga1 ** 2 * gb1 ** 2)
-            + (lam / (alpha * _gamma(alpha) ** 2)) * i_s
-            * (lam / (beta * _gamma(beta) ** 2)) * i_t)
-
-
 def fprf_moments(lam: float, alpha: float, beta: float,
                  p1: GridPoint, p2: GridPoint):
     """Closed-form (mean, var) at p1 and covariance of the pair."""
@@ -254,19 +287,14 @@ def fprf_moments(lam: float, alpha: float, beta: float,
         raise ValidationError("lam: must be > 0")
     if not (_order_ok(alpha) and _order_ok(beta)):
         raise ValidationError("alpha/beta: must be in (0, 1]")
-    return (_fprf_mean(lam, alpha, beta, p1.s, p1.t),
-            _fprf_var(lam, alpha, beta, p1.s, p1.t),
-            _fprf_cov(lam, alpha, beta, p1, p2))
+    mean, var = _time_changed_mean_var(lam, 0.0, alpha, beta, p1.s, p1.t)
+    return mean, var, _time_changed_cov(lam, 0.0, alpha, beta, p1, p2)
 
 
 def fprf_sample(lam: float, alpha: float, beta: float, s: float, t: float,
                 rng: RngStream, size: int | None = None):
-    """Draw the field by time-changing both axes and counting."""
-    gen = rng.generator
-    e1 = sample_inverse_subordinator(alpha, s, rng, size=size)
-    e2 = sample_inverse_subordinator(beta, t, rng, size=size)
-    out = gen.poisson(lam * np.asarray(e1) * np.asarray(e2), size=size)
-    return int(out) if size is None else out
+    """Draw the field by time-changing both axes and counting: kind I at lambda2 = 0."""
+    return _time_changed_sample(lam, 0.0, alpha, beta, s, t, rng, size)
 
 
 def fprf_sample_pair(lam: float, alpha: float, beta: float,
@@ -306,100 +334,31 @@ def _require_kind(model: FsrfModel, kind: str):
         raise ValidationError(f"kind: expected a kind-{kind} model, got kind {model.kind}")
 
 
-def _time_changed_sample(params: SkellamParams, alpha: float, beta: float, s: float,
-                         t: float, rng: RngStream, size: int | None):
-    """Skellam field at one inverse-subordinator draw per axis; an order-1
-    axis keeps its time, since E(t) = t at order 1 draws nothing."""
-    gen = rng.generator
-    e1 = np.asarray(sample_inverse_subordinator(alpha, s, rng, size=size))
-    e2 = np.asarray(sample_inverse_subordinator(beta, t, rng, size=size))
-    area = e1 * e2
-    out = gen.poisson(params.lambda1 * area, size=size) \
-        - gen.poisson(params.lambda2 * area, size=size)
-    return int(out) if size is None else out
-
-
 def fsrf1_sample(model: FsrfModel, s: float, t: float, rng: RngStream,
                  size: int | None = None):
     """Skellam field evaluated at one inverse-subordinator draw per axis."""
     _require_kind(model, "I")
-    return _time_changed_sample(model.params, model.orders.alpha, model.orders.beta,
-                                s, t, rng, size)
-
-
-def _time_changed_pmf(params: SkellamParams, alpha: float, beta: float, s: float,
-                      t: float, n: int, ctrl: SeriesControl, label: str) -> float:
-    """Wright-series point probability of N(E1(s), E2(t)) under the noise cap.
-
-    An order-1 axis contributes no row pair: its Gamma(m + 1 + r) rows above
-    and below cancel exactly.
-    """
-    if s < 0.0 or t < 0.0:
-        raise ValidationError("s/t: must be >= 0")
-    l1, l2 = params.lambda1, params.lambda2
-    q = s ** alpha * t ** beta
-    if q == 0.0:
-        return 1.0 if n == 0 else 0.0
-    m0 = abs(n)
-    y = math.sqrt(l1 * l2) * q
-    x = -(l1 + l2) * q
-    ly = math.log(y)
-    # fold (l1/l2)^{n/2} into the term logs so the noise cap gates the value
-    # actually returned
-    lpref = 0.5 * n * math.log(l1 / l2)
-    orders = tuple(o for o in (alpha, beta) if o < 1.0)
-
-    def terms():
-        for k in range(ctrl.max_terms + 1):
-            m = m0 + 2 * k
-            spec = WrightSpec(upper=((m + 1.0, 1.0),) * len(orders),
-                              lower=tuple((m * o + 1.0, o) for o in orders))
-            coef = math.exp(lpref + m * ly - _lgamma(m0 + k + 1) - _lgamma(k + 1))
-            w, w_noise = wright_tracked(spec, x, ctrl)
-            yield coef * w, coef * w_noise
-
-    value, _ = sum_series_tracked(terms(), ctrl, label=f"{label}(n={n})",
-                                  noise_cap=SERIES_NOISE_CAP)
-    return value
+    return _time_changed_sample(model.params.lambda1, model.params.lambda2,
+                                model.orders.alpha, model.orders.beta, s, t, rng, size)
 
 
 def fsrf1_pmf(model: FsrfModel, s: float, t: float, n: int,
               ctrl: SeriesControl = DEFAULT_CONTROL) -> float:
     """Wright-series point probability of the doubly time-changed field."""
     _require_kind(model, "I")
-    return _time_changed_pmf(model.params, model.orders.alpha, model.orders.beta,
-                             s, t, n, ctrl, "fsrf1_pmf")
-
-
-def _time_changed_mean_var(params: SkellamParams, alpha: float, beta: float,
-                           s: float, t: float):
-    """Closed-form (mean, var) of N(E1(s), E2(t))."""
-    l1, l2 = params.lambda1, params.lambda2
-    ga1, gb1 = _gamma(alpha + 1.0), _gamma(beta + 1.0)
-    q = s ** alpha * t ** beta
-    mean = (l1 - l2) * q / (ga1 * gb1)
-    var = ((l1 + l2) * q / (ga1 * gb1)
-           + 4.0 * (l1 - l2) ** 2 * q * q / (_gamma(2.0 * alpha + 1.0) * _gamma(2.0 * beta + 1.0))
-           - (l1 - l2) ** 2 * q * q / (ga1 ** 2 * gb1 ** 2))
-    return mean, var
+    return _time_changed_pmf(model.params.lambda1, model.params.lambda2, model.orders.alpha,
+                             model.orders.beta, s, t, n, ctrl, "fsrf1_pmf")[0]
 
 
 def fsrf1_moments(model: FsrfModel, p1: GridPoint, p2: GridPoint):
     """Closed-form (mean, var) at p1 and covariance; covariance needs p1 <= p2."""
     _require_kind(model, "I")
-    l1, l2 = model.params.lambda1, model.params.lambda2
-    alpha, beta = model.orders.alpha, model.orders.beta
-    s, t = p1.s, p1.t
-    mean, var = _time_changed_mean_var(model.params, alpha, beta, s, t)
     if p2.s < p1.s or p2.t < p1.t:
         raise ValidationError("p1/p2: covariance requires p1 <= p2 coordinatewise")
-    ga1, gb1 = _gamma(alpha + 1.0), _gamma(beta + 1.0)
-    i_s = singular_cov_integral(s, p2.s, alpha)
-    i_t = singular_cov_integral(t, p2.t, beta)
-    cov = ((l1 - l2) ** 2 * (i_s / (ga1 * _gamma(alpha)) * i_t / (gb1 * _gamma(beta))
-                             - (s * p2.s) ** alpha * (t * p2.t) ** beta / (ga1 ** 2 * gb1 ** 2))
-           + (l1 + l2) * s ** alpha * t ** beta / (ga1 * gb1))
-    return mean, var, cov
+    rates = model.params.lambda1, model.params.lambda2
+    orders = model.orders.alpha, model.orders.beta
+    mean, var = _time_changed_mean_var(*rates, *orders, p1.s, p1.t)
+    return mean, var, _time_changed_cov(*rates, *orders, p1, p2)
 
 
 @dataclass(frozen=True)
@@ -450,7 +409,8 @@ def fsrf2_sample(model: FsrfModel, s: float, t: float, rng: RngStream,
                  size: int | None = None):
     """Skellam field with the first axis time-changed: kind I at beta = 1."""
     _require_kind(model, "II")
-    return _time_changed_sample(model.params, model.orders.alpha, 1.0, s, t, rng, size)
+    return _time_changed_sample(model.params.lambda1, model.params.lambda2,
+                                model.orders.alpha, 1.0, s, t, rng, size)
 
 
 def fsrf2_pmf(model: FsrfModel, s: float, t: float, n: int,
@@ -461,8 +421,8 @@ def fsrf2_pmf(model: FsrfModel, s: float, t: float, n: int,
     the single row pair of the first axis, summed under SERIES_NOISE_CAP.
     """
     _require_kind(model, "II")
-    return _time_changed_pmf(model.params, model.orders.alpha, 1.0, s, t, n, ctrl,
-                             "fsrf2_pmf")
+    return _time_changed_pmf(model.params.lambda1, model.params.lambda2,
+                             model.orders.alpha, 1.0, s, t, n, ctrl, "fsrf2_pmf")[0]
 
 
 def fsrf2_pgf(model: FsrfModel, u: float, s: float, t: float,
@@ -480,7 +440,8 @@ def fsrf2_pgf(model: FsrfModel, u: float, s: float, t: float,
 def fsrf2_moments(model: FsrfModel, s: float, t: float):
     """Closed-form (mean, var) of the singly time-changed field."""
     _require_kind(model, "II")
-    return _time_changed_mean_var(model.params, model.orders.alpha, 1.0, s, t)
+    return _time_changed_mean_var(model.params.lambda1, model.params.lambda2,
+                                  model.orders.alpha, 1.0, s, t)
 
 
 # ---------------------------------------------------------------------------
@@ -502,34 +463,27 @@ def fsrf3_pmf(model: FsrfModel, s: float, t: float, n: int,
               ctrl: SeriesControl = DEFAULT_CONTROL) -> float:
     """Point probability of N1 - N2 as the convolution of the component pmfs.
 
-    Sums p1(|n| + k) p2(k) over k >= 0, each factor a fractional Poisson
-    series summed without a cap; the products carry the factors' noises and
-    their sum aborts once the noise passes SERIES_NOISE_CAP.  A component
-    with alpha + beta < 1 raises ConvergenceGuardError.  The branch for
-    negative n swaps the two component fields, so the symmetric case (equal
-    rates and orders) is even in n by construction.
+    Sums p1(|n| + k) p2(k) over k >= 0.  Each factor is a fractional Poisson
+    pmf, the kind-I Wright series at lambda2 = 0, summed without a cap; the
+    products carry the factors' noises and their sum aborts once the noise
+    passes SERIES_NOISE_CAP.  Wright values are memoized, so a table
+    evaluates p2(k) once for all n.  A component with alpha + beta < 1 raises
+    ConvergenceGuardError.  The branch for negative n swaps the two component
+    fields, so the symmetric case (equal rates and orders) is even in n by
+    construction.
     """
     _require_kind(model, "III")
-    if s < 0.0 or t < 0.0:
-        raise ValidationError("s/t: must be >= 0")
     l1, l2 = model.params.lambda1, model.params.lambda2
     o = model.orders
     fields = [(l1, o.alpha, o.beta), (l2, o.alpha2, o.beta2)]
     (la, aa, ba), (lb, ab, bb) = fields if n >= 0 else fields[::-1]
     m = abs(n)
-    ya = la * s ** aa * t ** ba
-    yb = lb * s ** ab * t ** bb
-    if ya == 0.0 or yb == 0.0:
-        return 1.0 if n == 0 else 0.0
-
-    def component(y, alpha, beta, k):
-        return sum_series_tracked(_fprf_terms(y, alpha, beta, k, ctrl), ctrl,
-                                  label=f"fsrf3_pmf(n={n}) component pmf at {k}")
+    label = f"fsrf3_pmf(n={n}) component pmf"
 
     def terms():
         for k in range(ctrl.max_terms + 1):
-            pa, ea = component(ya, aa, ba, m + k)
-            pb, eb = component(yb, ab, bb, k)
+            pa, ea = _time_changed_pmf(la, 0.0, aa, ba, s, t, m + k, ctrl, label, None)
+            pb, eb = _time_changed_pmf(lb, 0.0, ab, bb, s, t, k, ctrl, label, None)
             yield pa * pb, ea * abs(pb) + abs(pa) * eb + ea * eb
 
     value, _ = sum_series_tracked(terms(), ctrl, label=f"fsrf3_pmf(n={n})",

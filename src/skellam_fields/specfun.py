@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterator, Tuple
 
 from .errors import (
@@ -184,9 +185,10 @@ def wright(spec: WrightSpec, x: float,
 
     Sums prod_i Gamma(a_i + n*alpha_i) x^n / (prod_j Gamma(b_j + n*beta_j) n!)
     under the stopping rule.  Requires the convergence margin
-    sum(beta) - sum(alpha) + 1 > 0, which every in-scope parameter row
-    satisfies; the pmf series that call this never place a gamma pole on the
-    summation path.
+    sum(beta) - sum(alpha) + 1 >= 0; at margin 0 the series converges only
+    inside the radius prod_i alpha_i^-alpha_i prod_j beta_j^beta_j, and the
+    stopping rule and term cap refuse x outside it.  The pmf series that call
+    this never place a gamma pole on the summation path.
     """
     return wright_tracked(spec, x, ctrl)[0]
 
@@ -206,17 +208,20 @@ def _wright_log_coeffs(spec: WrightSpec, ctrl: SeriesControl):
         yield lg, mag
 
 
+@lru_cache(maxsize=4096)
 def wright_tracked(spec: WrightSpec, x: float,
                    ctrl: SeriesControl = DEFAULT_CONTROL) -> tuple:
     """Wright evaluation returning (value, cancellation noise estimate).
 
     The pmf outer sums that scale Wright values by tiny prefactors use this
     to keep an honest absolute-error budget when the alternating series
-    cancels heavily.
+    cancels heavily.  Values are memoized per (spec, x, ctrl) in a bounded
+    process-wide cache, so a pmf table evaluates each Wright value once;
+    refusals raise and are not cached.
     """
-    if spec.convergence_margin <= 0.0:
+    if spec.convergence_margin < 0.0:
         raise ConvergenceGuardError(
-            f"wright: convergence margin {spec.convergence_margin:g} is not positive"
+            f"wright: convergence margin {spec.convergence_margin:g} is negative"
         )
     if abs(x) > WRIGHT_MAX_ARG:
         raise ArgumentRangeError(f"wright: |x| must be <= {WRIGHT_MAX_ARG}, got {x}")

@@ -203,7 +203,10 @@ def test_cli_entry_point_runs():
      "cancellation noise"),
     (["model=FSRF2", "lambda1=1", "lambda2=0.5", "alpha=0.7", "s=7", "n_min=-3", "n_max=3"],
      "cancellation noise"),
-], ids=["divergent-orders", "cancellation-noise", "fsrf2-cancellation-noise"])
+    (["model=FSRF2", "lambda1=1", "lambda2=0.5", "alpha=0.7", "s=50", "n_min=0", "n_max=0"],
+     "fsrf2_pmf(n=0)"),
+], ids=["divergent-orders", "cancellation-noise", "fsrf2-cancellation-noise",
+        "fsrf2-wright-range"])
 def test_fprf_divergent_orders_exit_cleanly(settings, cause, capsys):
     settings = [*settings, "t=1"]
     code = main(["pmf", *(arg for kv in settings for arg in ("--set", kv))])

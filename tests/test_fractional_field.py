@@ -5,6 +5,7 @@ import pytest
 from scipy.integrate import quad
 
 from skellam_fields import (
+    ArgumentRangeError,
     ConvergenceGuardError,
     FracOrders,
     FsrfModel,
@@ -97,8 +98,18 @@ class TestFprf:
         assert fprf_pmf(1.0, 0.5, 0.3, 0.0, 1.0, 0) == 1.0  # zero area: no series
 
     def test_overflowing_term_raises(self):
-        with pytest.raises(SeriesNonConvergenceError):
+        # x = 60 is past the Wright evaluator's declared range |x| <= 20
+        with pytest.raises(ArgumentRangeError, match="fprf_pmf"):
             fprf_pmf(60.0, 0.7, 0.7, 1.0, 1.0, 0)
+
+    def test_orders_summing_to_one(self):
+        # at alpha + beta = 1 the series converges for x < 0.5^0.5 0.5^0.5 = 0.5;
+        # values frozen from the earlier dedicated FPRF series
+        for n, value in enumerate((0.805246097673246, 0.14977206347537314,
+                                   0.03389808640448826, 0.008257377455765418)):
+            assert fprf_pmf(0.2, 0.5, 0.5, 1.0, 1.0, n) == pytest.approx(value, abs=1e-12)
+        with pytest.raises(SeriesNonConvergenceError, match="fprf_pmf"):
+            fprf_pmf(0.6, 0.5, 0.5, 1.0, 1.0, 0)
 
     def test_cancellation_noise_raises(self):
         # at rate 2 the alternating series for n = 12 cancels down to noise

@@ -21,6 +21,7 @@ from skellam_fields import (
     mittag_leffler3,
     wright,
 )
+from skellam_fields.specfun import wright_tracked
 
 
 def bessel_series_oracle(n, x, terms=200, dps=50):
@@ -169,6 +170,28 @@ class TestWright:
         spec = WrightSpec(((1.0, 1.0),), ((1.0, 1.0), (1.0, 1.0)))
         with pytest.raises(ArgumentRangeError):
             wright(spec, 25.0)
+
+    def test_margin_zero_converges_inside_radius(self):
+        # margin 0: sum n! x^n / Gamma(1 + n/2)^2 has radius 0.5^0.5 0.5^0.5 = 0.5
+        spec = WrightSpec(((1.0, 1.0), (1.0, 1.0)), ((1.0, 0.5), (1.0, 0.5)))
+        assert spec.convergence_margin == 0.0
+        with mpmath.workdps(30):
+            oracle = float(mpmath.nsum(
+                lambda n: mpmath.factorial(n) * mpmath.mpf(-0.2) ** n
+                / mpmath.gamma(1 + n / 2) ** 2, [0, mpmath.inf]))
+        assert wright(spec, -0.2) == pytest.approx(oracle, rel=1e-13)
+        for x in (-0.8, 0.8):
+            with pytest.raises(SeriesNonConvergenceError):
+                wright(spec, x)
+
+    def test_cache_is_keyed_on_control(self):
+        spec = WrightSpec(((1.0, 1.0),), ((1.0, 0.5),))
+        wright_tracked(spec, -3.0)
+        # the cached default-control value must not answer a tighter control,
+        # and a refusal is raised again, not cached
+        for _ in range(2):
+            with pytest.raises(SeriesNonConvergenceError, match="no convergence"):
+                wright_tracked(spec, -3.0, SeriesControl(max_terms=5))
 
     def test_zero_weight_rejected(self):
         with pytest.raises(ValidationError):
