@@ -40,10 +40,12 @@ from .fractional_field import (
 from .rng import RngStream
 from .sampling import BoxRegion, sample_poisson
 from .skellam_field import (
+    FLOAT_FORMAT,
     GridPoint,
     GsrfParams,
     PmfTable,
     SkellamParams,
+    _format_float as _fmt,
     gsrf_count,
     gsrf_moments,
     srf_pmf_table,
@@ -53,10 +55,11 @@ from .suites import DEFAULT_SEED, run_suite, suite_names
 from .verification import McConfig, convergence_study
 
 
-def _fmt(x) -> str:
-    if isinstance(x, (int, np.integer)):
-        return str(int(x))
-    return f"{float(x):.17g}"
+def _format_draws(draws: np.ndarray) -> str:
+    """One line per draw: integers in full, floats with FLOAT_FORMAT, built
+    by a single %-format over the whole array."""
+    line = ("%d" if np.issubdtype(draws.dtype, np.integer) else FLOAT_FORMAT) + "\n"
+    return (line * len(draws)) % tuple(draws.tolist())
 
 
 def parse_config_text(text: str) -> dict:
@@ -399,7 +402,7 @@ def cmd_sample(args) -> int:
     mc = cfg.mc
     p = cfg.grid_point
     draws = _handler(cfg, "sample")(cfg, p, RngStream(mc.seed), mc.replicates)
-    _write_output("".join(_fmt(v) + "\n" for v in draws), args.output)
+    _write_output(_format_draws(draws), args.output)
     return 0
 
 

@@ -136,14 +136,25 @@ def count_at(sample: PointProcessSample, corner: Sequence[float]) -> int:
     return int(np.all(sample.points <= c, axis=1).sum())
 
 
-def _stable_std(alpha: float, gen: np.random.Generator, size):
-    """Kanter draw of the one-sided stable law with Laplace transform e^{-u^alpha}."""
+def _kanter(alpha: float, gen: np.random.Generator, size):
+    """Kanter's pair (A(theta), W): theta uniform on (0, pi), W standard
+    exponential, and (A / W)^((1 - alpha) / alpha) is one-sided stable with
+    Laplace transform e^{-u^alpha}."""
     theta = np.pi * gen.random(size)
     theta = np.maximum(theta, 1e-300)  # avoid 0/0 at the left endpoint
     w = np.maximum(gen.standard_exponential(size), 1e-300)
-    ratio = alpha / (1.0 - alpha)
-    a = (np.sin(alpha * theta) / np.sin(theta)) ** ratio \
-        * (np.sin((1.0 - alpha) * theta) / np.sin(theta))
+    sin_theta = np.sin(theta)
+    a = (np.sin(alpha * theta) / sin_theta) ** (alpha / (1.0 - alpha))
+    # theta's last use overwrites it: the path sampler's blocks are 4M draws,
+    # so each array left alive costs 32 MB of peak memory
+    theta *= 1.0 - alpha
+    a *= np.sin(theta) / sin_theta
+    return a, w
+
+
+def _stable_std(alpha: float, gen: np.random.Generator, size):
+    """Kanter draw of the one-sided stable law with Laplace transform e^{-u^alpha}."""
+    a, w = _kanter(alpha, gen, size)
     return (a / w) ** ((1.0 - alpha) / alpha)
 
 
@@ -157,16 +168,24 @@ def sample_stable_unit(alpha: float, rng: RngStream, size: int | None = None):
 
 def sample_inverse_subordinator(alpha: float, t: float, rng: RngStream,
                                 size: int | None = None):
-    """Draw the inverse stable subordinator E(t); E(t) = t exactly at alpha = 1."""
+    """Draw the inverse stable subordinator E(t); E(t) = t exactly at alpha = 1.
+
+    E(t) = (t / H(1))^alpha = t^alpha (W / A)^(1 - alpha) with Kanter's
+    (A, W): the second form never builds H(1), which over- and underflows at
+    small orders.
+    """
     if not 0.0 < alpha <= 1.0:
         raise ValidationError("alpha: must be in (0, 1]")
+    if not math.isfinite(t):
+        raise ValidationError("t: must be finite")
     if t < 0.0:
         raise ValidationError("t: must be >= 0")
     if alpha == 1.0:
         return t if size is None else np.full(size, t)
     if t == 0.0:
         return 0.0 if size is None else np.zeros(size)
-    out = (t / _stable_std(alpha, rng.generator, size)) ** alpha
+    a, w = _kanter(alpha, rng.generator, size)
+    out = t ** alpha * (w / a) ** (1.0 - alpha)
     return float(out) if size is None else out
 
 
@@ -174,6 +193,8 @@ def _validate_grid(time_grid: Sequence[float]) -> np.ndarray:
     grid = np.asarray([float(v) for v in time_grid])
     if grid.ndim != 1 or grid.size == 0:
         raise ValidationError("time_grid: must be a nonempty 1-d sequence")
+    if not np.all(np.isfinite(grid)):
+        raise ValidationError("time_grid: times must be finite")
     if np.any(grid < 0.0):
         raise ValidationError("time_grid: times must be >= 0")
     if np.any(np.diff(grid) <= 0.0):

@@ -109,12 +109,19 @@ class GridPoint:
     t: float
 
     def __post_init__(self):
+        if not (math.isfinite(self.s) and math.isfinite(self.t)):
+            raise ValidationError("s/t: must be finite")
         if self.s < 0.0 or self.t < 0.0:
             raise ValidationError("s/t: must be >= 0")
 
 
-def _format_float(x: float) -> str:
-    return f"{x:.17g}"
+# Every float the package prints (pmf tables, CLI csv output and draws) uses
+# this format: 17 significant digits round-trip a double losslessly.
+FLOAT_FORMAT = "%.17g"
+
+
+def _format_float(x) -> str:
+    return FLOAT_FORMAT % float(x)
 
 
 @dataclass(frozen=True)

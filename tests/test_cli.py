@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from skellam_fields import PmfTable
-from skellam_fields.cli import MODELS, build_parser, main, parse_config_text
+from skellam_fields.cli import MODELS, _format_draws, build_parser, main, parse_config_text
 from skellam_fields.errors import ValidationError
 
 
@@ -97,15 +97,59 @@ def test_unknown_key_rejected(capsys):
     assert "'alpha'" in err and "'nu1'" in err and "SRF" in err
 
 
-def test_sample_reproducible(tmp_path):
-    args = ["sample", "--set", "model=FSRF1", "--set", "lambda1=1", "--set", "lambda2=0.5",
-            "--set", "alpha=0.7", "--set", "beta=0.7", "--set", "s=1", "--set", "t=1",
-            "--set", "replicates=200", "--seed", "42"]
+def _assert_sample_reproducible(tmp_path, settings):
+    args = ["sample", *(arg for kv in [*settings, "s=1", "t=1", "replicates=200"]
+                        for arg in ("--set", kv)), "--seed", "42"]
     f1, f2 = tmp_path / "a.txt", tmp_path / "b.txt"
     assert main(args + ["--output", str(f1)]) == 0
     assert main(args + ["--output", str(f2)]) == 0
     assert f1.read_bytes() == f2.read_bytes()
     assert len(f1.read_text().strip().split("\n")) == 200
+    return f1.read_text()
+
+
+def test_sample_reproducible(tmp_path):
+    _assert_sample_reproducible(tmp_path, ["model=FSRF1", "lambda1=1", "lambda2=0.5",
+                                           "alpha=0.7", "beta=0.7"])
+
+
+def test_sample_reproducible_float_draws(tmp_path):
+    text = _assert_sample_reproducible(tmp_path, ["model=INTEGRAL", "lambda=1"])
+    values = [float(v) for v in text.split()]
+    assert any(v != int(v) for v in values)
+
+
+def _per_value_text(draws) -> str:
+    """The per-draw form the sample command used before it formatted whole arrays."""
+    return "".join((str(int(x)) if isinstance(x, np.integer) else f"{float(x):.17g}") + "\n"
+                   for x in draws)
+
+
+@pytest.mark.parametrize("draws", [
+    np.array([0, -1, 7, -123456789012, 2 ** 62, -(2 ** 63)], dtype=np.int64),
+    np.array([0.0, -0.0, 5e-324, 1e17, 2.0 ** 53 + 2, math.inf, -math.inf, math.nan,
+              0.1, -2.5, 1.0 / 3.0, 3.0]),
+    np.array([], dtype=np.int64),
+    np.array([], dtype=float),
+], ids=["int64", "float64", "empty-int", "empty-float"])
+def test_sample_formatter_matches_per_value_form(draws):
+    assert _format_draws(draws) == _per_value_text(draws)
+
+
+@pytest.mark.parametrize("command, settings", [
+    ("sample", ["model=PRF", "lambda=1", "s=inf", "t=1"]),
+    ("sample", ["model=FSRF1", "lambda1=1", "lambda2=0.5", "alpha=0.7", "beta=0.7",
+                "s=1", "t=nan"]),
+    ("pmf", ["model=FSRF1", "lambda1=1", "lambda2=0.5", "alpha=0.7", "beta=0.7",
+             "s=nan", "t=1"]),
+    ("moments", ["model=FPRF", "lambda=1", "alpha=0.7", "beta=0.7", "s=1", "t=-inf"]),
+], ids=["sample-inf", "sample-nan", "pmf-nan", "moments-minus-inf"])
+def test_non_finite_times_are_config_errors(command, settings, capsys):
+    code = main([command, *(arg for kv in settings for arg in ("--set", kv))])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and "must be finite" in err
+    assert "Traceback" not in err
 
 
 def test_sample_zero_replicates_rejected(capsys):

@@ -8,10 +8,12 @@ from scipy import stats
 
 from skellam_fields import (
     BoxRegion,
+    GridPoint,
     RngStream,
     ValidationError,
     count_at,
     mittag_leffler2,
+    moment_z_check,
     sample_inverse_subordinator,
     sample_inverse_subordinator_path,
     sample_point_field,
@@ -209,6 +211,27 @@ class TestInverseSubordinator:
 
     def test_zero_time(self):
         assert sample_inverse_subordinator(0.5, 0.0, RngStream(14)) == 0.0
+
+    @pytest.mark.parametrize("alpha", [1e-3, 0.01])
+    def test_small_orders_are_finite_and_positive(self, alpha):
+        # t^alpha (W/A)^(1-alpha) never forms H(1), which overflows here
+        t = 2.0
+        draws = sample_inverse_subordinator(alpha, t, RngStream(18), size=200_000)
+        assert np.all(np.isfinite(draws)) and np.all(draws > 0.0)
+        mean = t ** alpha / math.gamma(1.0 + alpha)
+        var = 2.0 * t ** (2.0 * alpha) / math.gamma(1.0 + 2.0 * alpha) - mean ** 2
+        assert moment_z_check(draws, mean, var).passed
+
+    @pytest.mark.parametrize("t", [math.nan, math.inf])
+    def test_non_finite_time_rejected(self, t):
+        for alpha in (0.5, 1.0):
+            with pytest.raises(ValidationError, match="t: must be finite"):
+                sample_inverse_subordinator(alpha, t, RngStream(19), size=10)
+        with pytest.raises(ValidationError, match="finite"):
+            sample_inverse_subordinator_path(0.5, [1.0, t], 1e-3, RngStream(19))
+        for s, u in ((t, 1.0), (1.0, t)):
+            with pytest.raises(ValidationError, match="s/t: must be finite"):
+                GridPoint(s, u)
 
 
 class TestInverseSubordinatorPath:
