@@ -19,7 +19,6 @@ from .errors import (
     ValidationError,
     WindowMismatchError,
 )
-from .series import DEFAULT_CONTROL, SeriesControl
 from .specfun import WrightSpec, bessel_i, log_gamma, mittag_leffler2, mittag_leffler3, wright
 from .rng import RngStream
 from .sampling import (

@@ -50,7 +50,6 @@ from .skellam_field import (
     gsrf_moments,
     srf_pmf_table,
 )
-from .series import SeriesControl
 from .suites import DEFAULT_SEED, run_suite, suite_names
 from .verification import McConfig, convergence_study
 
@@ -173,12 +172,6 @@ class ExperimentConfig:
                         self.intval("seed", DEFAULT_SEED),
                         self.intval("workers", 1))
 
-    @property
-    def series(self) -> SeriesControl:
-        return SeriesControl(self.floatval("rel_tol", 1e-15),
-                             self.intval("max_terms", 500),
-                             self.intval("consecutive_small", 3))
-
     @cached_property
     def fsrf_model(self) -> FsrfModel:
         kind = {"FSRF1": "I", "FSRF2": "II", "FSRF3": "III"}[self.model]
@@ -232,7 +225,7 @@ class ModelSpec:
     """What the CLI can do with one model: the config keys the model reads
     and one callable per command, None where the model defines nothing.
 
-    pmf(cfg, p, ns, ctrl) -> PmfTable over the range ``ns`` at point p
+    pmf(cfg, p, ns) -> PmfTable over the range ``ns`` at point p
     sample(cfg, p, rng, n) -> array of n draws at point p
     moments(cfg, p, p2) -> dict of moments; p2 is None for one point
     cf(cfg, p, xis) -> the field integral's CF values at ``xis``
@@ -262,8 +255,8 @@ def _clamped(probs):
     tiny negative far-tail entries; they are clamped to zero, and anything
     worse is a real error and is kept.
     """
-    def pmf(cfg, p, ns, ctrl):
-        values = [max(0.0, v) if v > -1e-4 else v for v in probs(cfg, p, ns, ctrl)]
+    def pmf(cfg, p, ns):
+        values = [max(0.0, v) if v > -1e-4 else v for v in probs(cfg, p, ns)]
         return PmfTable.from_probs(ns[0], values)
     return pmf
 
@@ -279,17 +272,17 @@ def _fprf_params(cfg) -> tuple:
     return cfg.rate, o.alpha, o.beta
 
 
-def _prf_probs(cfg, p, ns, ctrl) -> list:
+def _prf_probs(cfg, p, ns) -> list:
     ns = _counts(cfg, ns)
     mu = cfg.rate * p.s * p.t
     return [math.exp(-mu + n * math.log(mu) - math.lgamma(n + 1)) if mu > 0
             else (1.0 if n == 0 else 0.0) for n in ns]
 
 
-def _fprf_probs(cfg, p, ns, ctrl) -> list:
+def _fprf_probs(cfg, p, ns) -> list:
     ns = _counts(cfg, ns)
     lam, alpha, beta = _fprf_params(cfg)
-    return [fprf_pmf(lam, alpha, beta, p.s, p.t, n, ctrl) for n in ns]
+    return [fprf_pmf(lam, alpha, beta, p.s, p.t, n) for n in ns]
 
 
 def _prf_moments(cfg, p, p2) -> dict:
@@ -335,26 +328,23 @@ REGISTRY = {
         field=lambda cfg: cfg.gsrf),
     "SRF": ModelSpec(
         _SKELLAM_KEYS,
-        pmf=lambda cfg, p, ns, ctrl: srf_pmf_table(cfg.skellam, p.s, p.t, ns[0], ns[-1], ctrl),
+        pmf=lambda cfg, p, ns: srf_pmf_table(cfg.skellam, p.s, p.t, ns[0], ns[-1]),
         sample=lambda cfg, p, rng, n: gsrf_count(cfg.skellam.to_gsrf(), _box(p), rng, size=n),
         moments=lambda cfg, p, p2: _gsrf_moments(cfg.skellam.to_gsrf(), p, p2),
         field=lambda cfg: cfg.skellam.to_gsrf()),
     "FSRF1": ModelSpec(
         _SKELLAM_KEYS + ("alpha", "beta"),
-        pmf=_clamped(lambda cfg, p, ns, ctrl: [fsrf1_pmf(cfg.fsrf_model, p.s, p.t, n, ctrl)
-                                               for n in ns]),
+        pmf=_clamped(lambda cfg, p, ns: [fsrf1_pmf(cfg.fsrf_model, p.s, p.t, n) for n in ns]),
         sample=lambda cfg, p, rng, n: fsrf1_sample(cfg.fsrf_model, p.s, p.t, rng, size=n),
         moments=lambda cfg, p, p2: _named(fsrf1_moments(cfg.fsrf_model, p, p2 or p))),
     "FSRF2": ModelSpec(
         _SKELLAM_KEYS + ("alpha",),
-        pmf=_clamped(lambda cfg, p, ns, ctrl: [fsrf2_pmf(cfg.fsrf_model, p.s, p.t, n, ctrl)
-                                               for n in ns]),
+        pmf=_clamped(lambda cfg, p, ns: [fsrf2_pmf(cfg.fsrf_model, p.s, p.t, n) for n in ns]),
         sample=lambda cfg, p, rng, n: fsrf2_sample(cfg.fsrf_model, p.s, p.t, rng, size=n),
         moments=lambda cfg, p, p2: _named(fsrf2_moments(cfg.fsrf_model, p.s, p.t))),
     "FSRF3": ModelSpec(
         _SKELLAM_KEYS + ("alpha", "beta", "alpha2", "beta2"),
-        pmf=_clamped(lambda cfg, p, ns, ctrl: [fsrf3_pmf(cfg.fsrf_model, p.s, p.t, n, ctrl)
-                                               for n in ns]),
+        pmf=_clamped(lambda cfg, p, ns: [fsrf3_pmf(cfg.fsrf_model, p.s, p.t, n) for n in ns]),
         sample=lambda cfg, p, rng, n: fsrf3_sample(cfg.fsrf_model, p.s, p.t, rng, size=n),
         moments=lambda cfg, p, p2: _named(fsrf3_moments(cfg.fsrf_model, p, p2 or p))),
     "INTEGRAL": ModelSpec(
@@ -368,12 +358,11 @@ REGISTRY = {
 
 MODELS = tuple(REGISTRY)
 
-# Keys every model accepts: points, pmf window, Monte Carlo and series
-# controls, the CF grid and the lattice refinement levels.
+# Keys every model accepts: points, pmf window, Monte Carlo controls, the CF
+# grid and the lattice refinement levels.
 _SHARED_KEYS = (
     "model", "s", "t", "s2", "t2", "n_min", "n_max",
     "replicates", "seed", "workers",
-    "rel_tol", "max_terms", "consecutive_small",
     "xi", "k_values",
 )
 
@@ -389,9 +378,8 @@ def _handler(cfg: ExperimentConfig, command: str, attr: str | None = None):
 def cmd_pmf(args) -> int:
     cfg = load_config(args)
     n_min, n_max = cfg.window
-    ctrl = cfg.series
     p = cfg.grid_point
-    table = _handler(cfg, "pmf")(cfg, p, range(n_min, n_max + 1), ctrl)
+    table = _handler(cfg, "pmf")(cfg, p, range(n_min, n_max + 1))
     _write_output(table.to_json() + "\n" if args.format == "json" else table.to_csv(),
                   args.output)
     return 0

@@ -16,8 +16,9 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import QuadratureError, ValidationError
+from .errors import ArgumentRangeError, QuadratureError, ValidationError
 from .rng import RngStream
+from .sampling import _poisson
 from .skellam_field import GsrfParams
 
 __all__ = [
@@ -75,7 +76,7 @@ def _scatter_batch(lam: float, s: float, t: float,
     """Poisson scatters on [0,s]x[0,t] for `size` replicates, flattened.
 
     Returns (counts, rep_ids, x, y)."""
-    counts = gen.poisson(lam * s * t, size=size)
+    counts = _poisson(gen, lam * s * t, size)
     total = int(counts.sum())
     x = s * gen.random(total)
     y = t * gen.random(total)
@@ -104,6 +105,9 @@ def rl_integral_sample(lam: float, orders: IntegralOrders, s: float, t: float,
         raise ValidationError("s/t: must be >= 0")
     n = 1 if size is None else int(size)
     out = _pathwise_rl(lam, orders.nu1, orders.nu2, s, t, rng.generator, n)
+    if not np.all(np.isfinite(out)):
+        raise ArgumentRangeError(
+            "rl_integral_sample: a kernel (s-x)^nu1 (t-y)^nu2 leaves the double range")
     return float(out[0]) if size is None else out
 
 

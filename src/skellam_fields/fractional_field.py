@@ -18,6 +18,7 @@ side of every cross-check.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -33,12 +34,13 @@ from .errors import (
 )
 from .rng import RngStream
 from .sampling import (
+    _poisson,
     sample_inverse_subordinator,
     sample_inverse_subordinator_path,
     DEFAULT_PATH_STEP,
 )
 # sum_series and mittag_leffler3 are unused here: the benchmark tracer patches them.
-from .series import DEFAULT_CONTROL, SeriesControl, sum_series, sum_series_tracked
+from .series import sum_series, sum_series_tracked
 from .skellam_field import GridPoint, SkellamParams, srf_pde_residual
 from .specfun import WrightSpec, mittag_leffler2, mittag_leffler3, wright_tracked
 
@@ -132,16 +134,16 @@ class FsrfModel:
 # The time-changed Skellam field N(E1(s), E2(t)): the core of every model
 
 
-def _time_changed_pmf(l1: float, l2: float, alpha: float, beta: float, s: float,
-                      t: float, n: int, ctrl: SeriesControl, label: str,
-                      noise_cap: float | None = SERIES_NOISE_CAP) -> tuple:
+def _time_changed_pmf(l1: float, l2: float, alpha: float, beta: float, s: float, t: float,
+                      n: int, label: str, noise_cap: float | None = SERIES_NOISE_CAP) -> tuple:
     """Wright-series point probability of N(E1(s), E2(t)) for a Skellam field
     with rates (l1, l2), returned as (value, noise) and summed under noise_cap.
 
     With q = s^alpha t^beta, the k-th term is (l_a q)^(|n|+k) (l_b q)^k /
     ((|n|+k)! k!) times a Wright value at -(l1 + l2) q, where (l_a, l_b) is
-    (l1, l2) for n >= 0 and (l2, l1) for n < 0.  With l_b = 0 (a Poisson
-    field) only k = 0 is summed.  An order-1 axis contributes no row pair: its
+    (l1, l2) for n >= 0 and (l2, l1) for n < 0.  With l_b q = 0 (a Poisson
+    field, or a mean that underflows) only k = 0 is summed, and with l_a q = 0
+    only n = 0 has mass.  An order-1 axis contributes no row pair: its
     Gamma(m + 1 + r) rows above and below cancel exactly.  A refusal of the
     Wright evaluator is re-raised with label and n in front.
     """
@@ -151,26 +153,30 @@ def _time_changed_pmf(l1: float, l2: float, alpha: float, beta: float, s: float,
     if q == 0.0:
         return (1.0 if n == 0 else 0.0), 0.0
     m0 = abs(n)
-    la, lb = (l1, l2) if n >= 0 else (l2, l1)
-    lqa = math.log(la * q)
-    lqb = math.log(lb * q) if lb > 0.0 else 0.0
+    ya, yb = (l1 * q, l2 * q) if n >= 0 else (l2 * q, l1 * q)
+    if ya == 0.0 and m0 > 0:
+        return 0.0, 0.0
+    lqa = math.log(ya) if ya > 0.0 else 0.0
+    lqb = math.log(yb) if yb > 0.0 else 0.0
     x = -(l1 + l2) * q
     orders = tuple(o for o in (alpha, beta) if o < 1.0)
     where = f"{label}(n={n})"
 
     def terms():
-        for k in range(ctrl.max_terms + 1 if lb > 0.0 else 1):
+        for k in (itertools.count() if ya > 0.0 and yb > 0.0 else range(1)):
             m = m0 + 2 * k
             spec = WrightSpec(upper=((m + 1.0, 1.0),) * len(orders),
                               lower=tuple((m * o + 1.0, o) for o in orders))
-            coef = math.exp((m0 + k) * lqa + k * lqb - _lgamma(m0 + k + 1) - _lgamma(k + 1))
+            # The Wright range check comes first: inside it the coefficient
+            # cannot overflow.
             try:
-                w, w_noise = wright_tracked(spec, x, ctrl)
+                w, w_noise = wright_tracked(spec, x)
             except SkellamFieldsError as e:
                 raise type(e)(f"{where}: {e}") from e
+            coef = math.exp((m0 + k) * lqa + k * lqb - _lgamma(m0 + k + 1) - _lgamma(k + 1))
             yield coef * w, coef * w_noise
 
-    return sum_series_tracked(terms(), ctrl, label=where, noise_cap=noise_cap)
+    return sum_series_tracked(terms(), label=where, noise_cap=noise_cap)
 
 
 def _time_changed_sample(l1: float, l2: float, alpha: float, beta: float, s: float,
@@ -182,7 +188,7 @@ def _time_changed_sample(l1: float, l2: float, alpha: float, beta: float, s: flo
     e1 = np.asarray(sample_inverse_subordinator(alpha, s, rng, size=size))
     e2 = np.asarray(sample_inverse_subordinator(beta, t, rng, size=size))
     area = e1 * e2
-    out = gen.poisson(l1 * area, size=size) - gen.poisson(l2 * area, size=size)
+    out = _poisson(gen, l1 * area, size) - _poisson(gen, l2 * area, size)
     return int(out) if size is None else out
 
 
@@ -214,8 +220,7 @@ def _time_changed_cov(l1: float, l2: float, alpha: float, beta: float,
 # Fractional Poisson random field
 
 
-def fprf_pmf(lam: float, alpha: float, beta: float, s: float, t: float, n: int,
-             ctrl: SeriesControl = DEFAULT_CONTROL) -> float:
+def fprf_pmf(lam: float, alpha: float, beta: float, s: float, t: float, n: int) -> float:
     """Point probability of the doubly time-changed Poisson field.
 
     FPRF is kind I with lambda2 = 0, so this is the k = 0 term of the kind-I
@@ -235,7 +240,7 @@ def fprf_pmf(lam: float, alpha: float, beta: float, s: float, t: float, n: int,
         raise ConvergenceGuardError(
             f"fprf_pmf: alpha + beta = {alpha + beta:g} < 1, the series diverges"
         )
-    return _time_changed_pmf(lam, 0.0, alpha, beta, s, t, n, ctrl, "fprf_pmf")[0]
+    return _time_changed_pmf(lam, 0.0, alpha, beta, s, t, n, "fprf_pmf")[0]
 
 
 @lru_cache(maxsize=64)
@@ -294,6 +299,8 @@ def fprf_moments(lam: float, alpha: float, beta: float,
 def fprf_sample(lam: float, alpha: float, beta: float, s: float, t: float,
                 rng: RngStream, size: int | None = None):
     """Draw the field by time-changing both axes and counting: kind I at lambda2 = 0."""
+    if not lam > 0.0:
+        raise ValidationError("lam: must be > 0")
     return _time_changed_sample(lam, 0.0, alpha, beta, s, t, rng, size)
 
 
@@ -342,19 +349,16 @@ def fsrf1_sample(model: FsrfModel, s: float, t: float, rng: RngStream,
                                 model.orders.alpha, model.orders.beta, s, t, rng, size)
 
 
-def fsrf1_pmf(model: FsrfModel, s: float, t: float, n: int,
-              ctrl: SeriesControl = DEFAULT_CONTROL) -> float:
+def fsrf1_pmf(model: FsrfModel, s: float, t: float, n: int) -> float:
     """Wright-series point probability of the doubly time-changed field."""
     _require_kind(model, "I")
     return _time_changed_pmf(model.params.lambda1, model.params.lambda2, model.orders.alpha,
-                             model.orders.beta, s, t, n, ctrl, "fsrf1_pmf")[0]
+                             model.orders.beta, s, t, n, "fsrf1_pmf")[0]
 
 
 def fsrf1_moments(model: FsrfModel, p1: GridPoint, p2: GridPoint):
-    """Closed-form (mean, var) at p1 and covariance; covariance needs p1 <= p2."""
+    """Closed-form (mean, var) at p1 and covariance of the pair."""
     _require_kind(model, "I")
-    if p2.s < p1.s or p2.t < p1.t:
-        raise ValidationError("p1/p2: covariance requires p1 <= p2 coordinatewise")
     rates = model.params.lambda1, model.params.lambda2
     orders = model.orders.alpha, model.orders.beta
     mean, var = _time_changed_mean_var(*rates, *orders, p1.s, p1.t)
@@ -380,13 +384,12 @@ class Fsrf1PgfCheck:
 
 def fsrf1_pgf_pde_residual(model: FsrfModel, u: float, s: float, t: float,
                            h: float, rng: RngStream | None = None,
-                           replicates: int = 20000, window: int = 12,
-                           ctrl: SeriesControl = DEFAULT_CONTROL) -> Fsrf1PgfCheck:
+                           replicates: int = 20000, window: int = 12) -> Fsrf1PgfCheck:
     _require_kind(model, "I")
     res_pgf, res_pmf = srf_pde_residual(model.params, u, s, t, h)
     if u <= 0.0:
         raise ValidationError("u: must be > 0")
-    series = sum(fsrf1_pmf(model, s, t, n, ctrl) * u ** n
+    series = sum(fsrf1_pmf(model, s, t, n) * u ** n
                  for n in range(-window, window + 1))
     if rng is None:
         rng = RngStream(0)
@@ -413,8 +416,7 @@ def fsrf2_sample(model: FsrfModel, s: float, t: float, rng: RngStream,
                                 model.orders.alpha, 1.0, s, t, rng, size)
 
 
-def fsrf2_pmf(model: FsrfModel, s: float, t: float, n: int,
-              ctrl: SeriesControl = DEFAULT_CONTROL) -> float:
+def fsrf2_pmf(model: FsrfModel, s: float, t: float, n: int) -> float:
     """Point probability of the singly time-changed field.
 
     Kind II is kind I at beta = 1, so this is the kind-I Wright series with
@@ -422,11 +424,10 @@ def fsrf2_pmf(model: FsrfModel, s: float, t: float, n: int,
     """
     _require_kind(model, "II")
     return _time_changed_pmf(model.params.lambda1, model.params.lambda2,
-                             model.orders.alpha, 1.0, s, t, n, ctrl, "fsrf2_pmf")[0]
+                             model.orders.alpha, 1.0, s, t, n, "fsrf2_pmf")[0]
 
 
-def fsrf2_pgf(model: FsrfModel, u: float, s: float, t: float,
-              ctrl: SeriesControl = DEFAULT_CONTROL) -> float:
+def fsrf2_pgf(model: FsrfModel, u: float, s: float, t: float) -> float:
     """pgf E_alpha(l1 s^a t (u-1) + l2 s^a t (1/u - 1))."""
     _require_kind(model, "II")
     if u <= 0.0:
@@ -434,7 +435,7 @@ def fsrf2_pgf(model: FsrfModel, u: float, s: float, t: float,
     l1, l2 = model.params.lambda1, model.params.lambda2
     q = s ** model.orders.alpha * t
     return mittag_leffler2(model.orders.alpha,
-                           l1 * q * (u - 1.0) + l2 * q * (1.0 / u - 1.0), ctrl)
+                           l1 * q * (u - 1.0) + l2 * q * (1.0 / u - 1.0))
 
 
 def fsrf2_moments(model: FsrfModel, s: float, t: float):
@@ -459,8 +460,7 @@ def fsrf3_sample(model: FsrfModel, s: float, t: float, rng: RngStream,
     return int(out) if size is None else out
 
 
-def fsrf3_pmf(model: FsrfModel, s: float, t: float, n: int,
-              ctrl: SeriesControl = DEFAULT_CONTROL) -> float:
+def fsrf3_pmf(model: FsrfModel, s: float, t: float, n: int) -> float:
     """Point probability of N1 - N2 as the convolution of the component pmfs.
 
     Sums p1(|n| + k) p2(k) over k >= 0.  Each factor is a fractional Poisson
@@ -481,12 +481,12 @@ def fsrf3_pmf(model: FsrfModel, s: float, t: float, n: int,
     label = f"fsrf3_pmf(n={n}) component pmf"
 
     def terms():
-        for k in range(ctrl.max_terms + 1):
-            pa, ea = _time_changed_pmf(la, 0.0, aa, ba, s, t, m + k, ctrl, label, None)
-            pb, eb = _time_changed_pmf(lb, 0.0, ab, bb, s, t, k, ctrl, label, None)
+        for k in itertools.count():
+            pa, ea = _time_changed_pmf(la, 0.0, aa, ba, s, t, m + k, label, None)
+            pb, eb = _time_changed_pmf(lb, 0.0, ab, bb, s, t, k, label, None)
             yield pa * pb, ea * abs(pb) + abs(pa) * eb + ea * eb
 
-    value, _ = sum_series_tracked(terms(), ctrl, label=f"fsrf3_pmf(n={n})",
+    value, _ = sum_series_tracked(terms(), label=f"fsrf3_pmf(n={n})",
                                   noise_cap=SERIES_NOISE_CAP)
     return value
 

@@ -15,7 +15,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import ArgumentRangeError, ValidationError
 from .rng import RngStream
 
 __all__ = [
@@ -34,6 +34,9 @@ __all__ = [
 # of the marginal mean at desk-scale times (validated against the exact
 # single-point sampler in the test suite).
 DEFAULT_PATH_STEP = 1e-3
+
+# Generator.poisson refuses larger means (numpy's POISSON_LAM_MAX).
+_POISSON_MAX_MEAN = np.iinfo(np.int64).max - 10.0 * math.sqrt(np.iinfo(np.int64).max)
 
 
 @dataclass(frozen=True)
@@ -97,11 +100,20 @@ class PointProcessSample:
         return self.points.shape[0]
 
 
+def _poisson(gen: np.random.Generator, mean, size):
+    """``gen.poisson(mean, size=size)``, raising ArgumentRangeError where
+    numpy would raise a bare ValueError: a nan or too large mean."""
+    if not np.all(np.asarray(mean) <= _POISSON_MAX_MEAN):
+        raise ArgumentRangeError(
+            f"Poisson mean: must be a number <= {_POISSON_MAX_MEAN:.4g}, got {np.max(mean):g}")
+    return gen.poisson(mean, size=size)
+
+
 def sample_poisson(mean: float, rng: RngStream, size: int | None = None):
     """Poisson(mean) draw; with ``size`` an array of iid draws."""
     if mean < 0.0:
         raise ValidationError("mean: must be >= 0")
-    out = rng.generator.poisson(mean, size=size)
+    out = _poisson(rng.generator, mean, size)
     return int(out) if size is None else out
 
 

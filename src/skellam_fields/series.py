@@ -2,64 +2,41 @@
 
 Every analytic series in the package (Bessel, Mittag-Leffler, Wright and the
 pmf outer sums built on them) is truncated by the same rule: stop once
-``consecutive_small`` successive terms fall below ``rel_tol`` times the
-running partial sum, fail if ``max_terms`` is reached first.  Terms are
+``CONSECUTIVE_SMALL`` successive terms fall below ``REL_TOL`` times the
+running partial sum, fail if ``MAX_TERMS`` is reached first.  Terms are
 accumulated in Neumaier-compensated form so alternating series do not lose
 accuracy to cancellation in the accumulator itself.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable
 
-from .errors import SeriesNonConvergenceError, ValidationError
+from .errors import SeriesNonConvergenceError
 
-__all__ = ["SeriesControl", "DEFAULT_CONTROL", "sum_series", "sum_series_tracked"]
+__all__ = ["REL_TOL", "MAX_TERMS", "CONSECUTIVE_SMALL", "sum_series", "sum_series_tracked"]
 
 _EPS = 2.220446049250313e-16
 
-
-@dataclass(frozen=True)
-class SeriesControl:
-    """Truncation policy for series evaluation.
-
-    rel_tol: relative magnitude at which a term counts as negligible.
-    max_terms: hard cap on the number of summed terms.
-    consecutive_small: how many negligible terms in a row end the sum.
-    """
-
-    rel_tol: float = 1e-15
-    max_terms: int = 500
-    consecutive_small: int = 3
-
-    def __post_init__(self):
-        if not self.rel_tol > 0.0:
-            raise ValidationError("rel_tol: must be > 0")
-        if self.max_terms < 1:
-            raise ValidationError("max_terms: must be >= 1")
-        if self.consecutive_small < 1:
-            raise ValidationError("consecutive_small: must be >= 1")
+REL_TOL = 1e-15
+MAX_TERMS = 500
+CONSECUTIVE_SMALL = 3
 
 
-DEFAULT_CONTROL = SeriesControl()
-
-
-def sum_series(terms: Iterable[float], ctrl: SeriesControl = DEFAULT_CONTROL,
-               label: str = "series") -> float:
+def sum_series(terms: Iterable[float], label: str = "series") -> float:
     """Sum ``terms`` under the stopping rule; :func:`sum_series_tracked`
     with zero per-term noise and no cap."""
-    return sum_series_tracked(((t, 0.0) for t in terms), ctrl, label)[0]
+    return sum_series_tracked(((t, 0.0) for t in terms), label)[0]
 
 
-def sum_series_tracked(terms: Iterable[tuple], ctrl: SeriesControl = DEFAULT_CONTROL,
-                       label: str = "series", noise_cap: float | None = None) -> tuple:
+def sum_series_tracked(terms: Iterable[tuple], label: str = "series",
+                       noise_cap: float | None = None) -> tuple:
     """Sum (term, term_noise) pairs under the stopping rule with compensated
     accumulation, returning (value, noise).
 
     ``terms`` may be an infinite generator; it is consumed until the rule
     fires.  A generator that ends on its own is treated as a finite sum.
-    Raises SeriesNonConvergenceError if ``ctrl.max_terms`` terms were consumed
+    Raises SeriesNonConvergenceError if ``MAX_TERMS`` terms were consumed
     without the rule firing.
 
     The returned noise bounds the cancellation error of the sum: machine
@@ -91,14 +68,14 @@ def sum_series_tracked(terms: Iterable[tuple], ctrl: SeriesControl = DEFAULT_CON
             comp += (term - t) + total
         total = t
         # A zero term (underflow) is negligible even when the sum is still 0.
-        if term == 0.0 or abs(term) < ctrl.rel_tol * abs(total + comp):
+        if term == 0.0 or abs(term) < REL_TOL * abs(total + comp):
             small += 1
-            if small >= ctrl.consecutive_small:
+            if small >= CONSECUTIVE_SMALL:
                 return total + comp, noise + _EPS * max_abs
         else:
             small = 0
-        if count >= ctrl.max_terms:
+        if count >= MAX_TERMS:
             raise SeriesNonConvergenceError(
-                f"{label}: no convergence within {ctrl.max_terms} terms"
+                f"{label}: no convergence within {MAX_TERMS} terms"
             )
     return total + comp, noise + _EPS * max_abs

@@ -16,8 +16,7 @@ import numpy as np
 
 from .errors import LatticeSpecError, SingularPgfError, ValidationError
 from .rng import RngStream
-from .sampling import BoxRegion
-from .series import DEFAULT_CONTROL, SeriesControl
+from .sampling import BoxRegion, _poisson
 from .specfun import bessel_i
 
 __all__ = [
@@ -244,7 +243,7 @@ def gsrf_count(params: GsrfParams, region: BoxRegion, rng: RngStream,
     shape = () if size is None else (size,)
     out = np.zeros(shape)
     for j, lam in params.jumps:
-        out = out + j * gen.poisson(lam * measure, size=size)
+        out = out + j * _poisson(gen, lam * measure, size)
     return float(out) if size is None else out
 
 
@@ -326,8 +325,7 @@ def sample_gsrf_field(params: GsrfParams, s_max: float, t_max: float,
     return GsrfFieldSample(params, scatters)
 
 
-def srf_pmf(params: SkellamParams, s: float, t: float, n: int,
-            ctrl: SeriesControl = DEFAULT_CONTROL) -> float:
+def srf_pmf(params: SkellamParams, s: float, t: float, n: int) -> float:
     """Point probability of the planar Skellam field at (s, t).
 
     exp(-(l1+l2) s t) (l1/l2)^{n/2} I_{|n|}(2 sqrt(l1 l2) s t).
@@ -339,15 +337,14 @@ def srf_pmf(params: SkellamParams, s: float, t: float, n: int,
         return 1.0 if n == 0 else 0.0
     l1, l2 = params.lambda1, params.lambda2
     x = 2.0 * math.sqrt(l1 * l2) * st
-    return math.exp(-(l1 + l2) * st) * (l1 / l2) ** (n / 2.0) * bessel_i(abs(n), x, ctrl)
+    return math.exp(-(l1 + l2) * st) * (l1 / l2) ** (n / 2.0) * bessel_i(abs(n), x)
 
 
 def srf_pmf_table(params: SkellamParams, s: float, t: float,
-                  n_min: int, n_max: int,
-                  ctrl: SeriesControl = DEFAULT_CONTROL) -> PmfTable:
+                  n_min: int, n_max: int) -> PmfTable:
     if n_min > n_max:
         raise ValidationError("n_min/n_max: window must be nonempty")
-    probs = [srf_pmf(params, s, t, n, ctrl) for n in range(n_min, n_max + 1)]
+    probs = [srf_pmf(params, s, t, n) for n in range(n_min, n_max + 1)]
     return PmfTable.from_probs(n_min, probs)
 
 

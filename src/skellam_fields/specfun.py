@@ -11,6 +11,7 @@ Mittag-Leffler, |x| <= 20 for Wright) instead of silently losing precision.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -24,7 +25,7 @@ from .errors import (
     SeriesNonConvergenceError,
     ValidationError,
 )
-from .series import DEFAULT_CONTROL, SeriesControl, sum_series, sum_series_tracked
+from .series import sum_series, sum_series_tracked
 
 __all__ = [
     "log_gamma",
@@ -90,7 +91,7 @@ def _tracked_power_terms(log_coeffs, x: float) -> Iterator[tuple]:
         yield (-t if neg and n % 2 else t), noise
 
 
-def bessel_i(n: int, x: float, ctrl: SeriesControl = DEFAULT_CONTROL) -> float:
+def bessel_i(n: int, x: float) -> float:
     """Modified Bessel function I_n(x) of integer order by direct series.
 
     Uses I_{-n} = I_n and sums (x/2)^{2k+|n|} / (k! Gamma(|n|+k+1)).
@@ -104,15 +105,14 @@ def bessel_i(n: int, x: float, ctrl: SeriesControl = DEFAULT_CONTROL) -> float:
     sign = -1.0 if (x < 0.0 and m % 2) else 1.0
 
     def terms():
-        for k in range(ctrl.max_terms + 1):
+        for k in itertools.count():
             lg = (2 * k + m) * lh - math.lgamma(k + 1) - math.lgamma(m + k + 1)
             yield math.exp(lg)  # uniform sign: no cancellation to track
 
-    return sign * sum_series(terms(), ctrl, label=f"bessel_i({n}, {x})")
+    return sign * sum_series(terms(), label=f"bessel_i({n}, {x})")
 
 
-def mittag_leffler3(alpha: float, beta: float, gamma: float, x: float,
-                    ctrl: SeriesControl = DEFAULT_CONTROL) -> float:
+def mittag_leffler3(alpha: float, beta: float, gamma: float, x: float) -> float:
     """Three-parameter Mittag-Leffler E^gamma_{alpha,beta}(x).
 
     Series sum of (gamma)_r x^r / (Gamma(alpha*r + beta) r!) with the rising
@@ -131,14 +131,13 @@ def mittag_leffler3(alpha: float, beta: float, gamma: float, x: float,
     lg_gamma = math.lgamma(gamma)
 
     def log_coeffs():
-        for r in range(ctrl.max_terms + 1):
+        for r in itertools.count():
             parts = (math.lgamma(gamma + r), lg_gamma,
                      math.lgamma(alpha * r + beta), math.lgamma(r + 1))
             yield parts[0] - parts[1] - parts[2] - parts[3], sum(abs(p) for p in parts)
 
     label = f"mittag_leffler3({alpha}, {beta}, {gamma}, {x})"
-    value, noise = sum_series_tracked(_tracked_power_terms(log_coeffs(), x),
-                                      ctrl, label=label)
+    value, noise = sum_series_tracked(_tracked_power_terms(log_coeffs(), x), label=label)
     # The alternating series for strongly negative x cancels catastrophically
     # at small alpha; refuse to return rounding noise.  The noise figure is a
     # conservative upper bound, typically a few orders above realized error.
@@ -149,10 +148,9 @@ def mittag_leffler3(alpha: float, beta: float, gamma: float, x: float,
     return value
 
 
-def mittag_leffler2(alpha: float, x: float,
-                    ctrl: SeriesControl = DEFAULT_CONTROL) -> float:
+def mittag_leffler2(alpha: float, x: float) -> float:
     """Classical Mittag-Leffler E_alpha(x) = E^1_{alpha,1}(x)."""
-    return mittag_leffler3(alpha, 1.0, 1.0, x, ctrl)
+    return mittag_leffler3(alpha, 1.0, 1.0, x)
 
 
 @dataclass(frozen=True)
@@ -179,8 +177,7 @@ class WrightSpec:
                 - sum(al for _, al in self.upper) + 1.0)
 
 
-def wright(spec: WrightSpec, x: float,
-           ctrl: SeriesControl = DEFAULT_CONTROL) -> float:
+def wright(spec: WrightSpec, x: float) -> float:
     """Generalized Wright function pPsi_q at real x.
 
     Sums prod_i Gamma(a_i + n*alpha_i) x^n / (prod_j Gamma(b_j + n*beta_j) n!)
@@ -190,11 +187,11 @@ def wright(spec: WrightSpec, x: float,
     stopping rule and term cap refuse x outside it.  The pmf series that call
     this never place a gamma pole on the summation path.
     """
-    return wright_tracked(spec, x, ctrl)[0]
+    return wright_tracked(spec, x)[0]
 
 
-def _wright_log_coeffs(spec: WrightSpec, ctrl: SeriesControl):
-    for n in range(ctrl.max_terms + 1):
+def _wright_log_coeffs(spec: WrightSpec):
+    for n in itertools.count():
         lg = -math.lgamma(n + 1)
         mag = abs(lg)
         for a, al in spec.upper:
@@ -209,13 +206,12 @@ def _wright_log_coeffs(spec: WrightSpec, ctrl: SeriesControl):
 
 
 @lru_cache(maxsize=4096)
-def wright_tracked(spec: WrightSpec, x: float,
-                   ctrl: SeriesControl = DEFAULT_CONTROL) -> tuple:
+def wright_tracked(spec: WrightSpec, x: float) -> tuple:
     """Wright evaluation returning (value, cancellation noise estimate).
 
     The pmf outer sums that scale Wright values by tiny prefactors use this
     to keep an honest absolute-error budget when the alternating series
-    cancels heavily.  Values are memoized per (spec, x, ctrl) in a bounded
+    cancels heavily.  Values are memoized per (spec, x) in a bounded
     process-wide cache, so a pmf table evaluates each Wright value once;
     refusals raise and are not cached.
     """
@@ -225,5 +221,5 @@ def wright_tracked(spec: WrightSpec, x: float,
         )
     if abs(x) > WRIGHT_MAX_ARG:
         raise ArgumentRangeError(f"wright: |x| must be <= {WRIGHT_MAX_ARG}, got {x}")
-    return sum_series_tracked(_tracked_power_terms(_wright_log_coeffs(spec, ctrl), x),
-                              ctrl, label=f"wright(x={x})")
+    return sum_series_tracked(_tracked_power_terms(_wright_log_coeffs(spec), x),
+                              label=f"wright(x={x})")

@@ -84,8 +84,10 @@ def test_invalid_rate_names_field(capsys):
 
 def test_unknown_key_rejected(capsys):
     # step, u and suite were once accepted although no command reads them;
-    # alpha and nu1 are read by other models, and SRF once ignored them
-    for key in ("bogus_key", "step", "u", "suite", "alpha", "nu1"):
+    # alpha and nu1 are read by other models, and SRF once ignored them; the
+    # series stopping rule is fixed, so its three former keys are unknown
+    for key in ("bogus_key", "step", "u", "suite", "alpha", "nu1",
+                "rel_tol", "max_terms", "consecutive_small"):
         code = main(["pmf", "--set", "model=SRF", "--set", "lambda1=2", "--set", "lambda2=1",
                      "--set", "s=1", "--set", "t=1", "--set", f"{key}=3"])
         assert code == 2
@@ -249,8 +251,10 @@ def test_cli_entry_point_runs():
      "cancellation noise"),
     (["model=FSRF2", "lambda1=1", "lambda2=0.5", "alpha=0.7", "s=50", "n_min=0", "n_max=0"],
      "fsrf2_pmf(n=0)"),
+    (["model=FPRF", "lambda=0.3", "alpha=0.5", "beta=0.5", "s=1e300", "n_min=3", "n_max=3"],
+     "fprf_pmf(n=3)"),
 ], ids=["divergent-orders", "cancellation-noise", "fsrf2-cancellation-noise",
-        "fsrf2-wright-range"])
+        "fsrf2-wright-range", "fprf-wright-range-before-overflow"])
 def test_fprf_divergent_orders_exit_cleanly(settings, cause, capsys):
     settings = [*settings, "t=1"]
     code = main(["pmf", *(arg for kv in settings for arg in ("--set", kv))])
@@ -259,6 +263,34 @@ def test_fprf_divergent_orders_exit_cleanly(settings, cause, capsys):
     assert err.startswith("error:") and cause in err
     assert "Traceback" not in err
 
+
+
+@pytest.mark.parametrize("settings", [
+    ["model=FPRF", "lambda=1e-300", "alpha=0.5", "beta=0.5"],
+    ["model=FSRF1", "lambda1=1e-300", "lambda2=1e-300", "alpha=0.5", "beta=0.5"],
+    ["model=FSRF3", "lambda1=1e-300", "lambda2=1e-300", "alpha=0.5", "beta=0.5",
+     "alpha2=0.5", "beta2=0.5"],
+], ids=["FPRF", "FSRF1", "FSRF3"])
+def test_pmf_underflowed_means_are_a_point_mass(settings, capsys):
+    settings = [*settings, "s=1e-300", "t=1", "n_min=0", "n_max=3"]
+    code = main(["pmf", *(arg for kv in settings for arg in ("--set", kv)), "--format", "json"])
+    assert code == 0
+    assert list(PmfTable.from_json(capsys.readouterr().out).probs) == [1.0, 0.0, 0.0, 0.0]
+
+
+@pytest.mark.parametrize("settings", [
+    ["model=PRF", "lambda=1"],
+    ["model=SRF", "lambda1=1", "lambda2=1"],
+    ["model=GSRF", "jumps=1:1,-1:1"],
+    ["model=INTEGRAL", "lambda=1"],
+], ids=["PRF", "SRF", "GSRF", "INTEGRAL"])
+def test_sample_poisson_mean_out_of_range(settings, capsys):
+    settings = [*settings, "s=1e10", "t=1e10", "replicates=3"]
+    code = main(["sample", *(arg for kv in settings for arg in ("--set", kv))])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Poisson mean" in err
+    assert "Traceback" not in err
 
 def test_workers_flag_only_on_mc_commands():
     parser = build_parser()

@@ -1,0 +1,95 @@
+"""The public-entry contract at the edges of every argument: a pmf or sampler
+either returns finite values (pmf entries in [0, 1]) or raises a
+SkellamFieldsError subclass that names the cause, never a bare numpy or math
+error.  The grid is deterministic because the edge values are the point."""
+
+import itertools
+import math
+
+import numpy as np
+import pytest
+
+from skellam_fields import (
+    BoxRegion,
+    FracOrders,
+    FsrfModel,
+    GsrfParams,
+    RngStream,
+    SkellamFieldsError,
+    SkellamParams,
+    fprf_pmf,
+    fprf_sample,
+    fsrf1_pmf,
+    fsrf1_sample,
+    fsrf2_pmf,
+    fsrf3_pmf,
+    fsrf3_sample,
+    gsrf_count,
+    sample_poisson,
+    srf_pmf,
+)
+from skellam_fields.field_integrals import IntegralOrders, rl_integral_sample
+
+EDGES = (-1.0, 0.0, 1e-300, 1.0, 1e300, math.inf, math.nan)
+GRID = list(itertools.product(EDGES, repeat=3))  # (s, t, rate)
+SIZE = 4
+
+
+def _kind(kind, rate):
+    orders = {"I": FracOrders(0.7, 0.8), "II": FracOrders(0.7),
+              "III": FracOrders(0.7, 0.8, 0.9, 0.6)}[kind]
+    return FsrfModel(kind, SkellamParams(rate, rate), orders)
+
+
+PMFS = {
+    "srf_pmf": (lambda s, t, r, n: srf_pmf(SkellamParams(r, r), s, t, n), (0, 1, -2)),
+    "fprf_pmf": (lambda s, t, r, n: fprf_pmf(r, 0.7, 0.8, s, t, n), (0, 1)),
+    "fsrf1_pmf": (lambda s, t, r, n: fsrf1_pmf(_kind("I", r), s, t, n), (0, 1, -2)),
+    "fsrf2_pmf": (lambda s, t, r, n: fsrf2_pmf(_kind("II", r), s, t, n), (0, 1, -2)),
+    "fsrf3_pmf": (lambda s, t, r, n: fsrf3_pmf(_kind("III", r), s, t, n), (0, 1, -2)),
+}
+
+SAMPLERS = {
+    "sample_poisson": lambda s, t, r, rng: sample_poisson(r * s * t, rng, size=SIZE),
+    "gsrf_count": lambda s, t, r, rng: gsrf_count(
+        GsrfParams(((1.0, r), (-1.0, r))), BoxRegion((0.0, 0.0), (s, t)), rng, size=SIZE),
+    "fprf_sample": lambda s, t, r, rng: fprf_sample(r, 0.7, 0.8, s, t, rng, size=SIZE),
+    "fsrf1_sample": lambda s, t, r, rng: fsrf1_sample(_kind("I", r), s, t, rng, size=SIZE),
+    "fsrf3_sample": lambda s, t, r, rng: fsrf3_sample(_kind("III", r), s, t, rng, size=SIZE),
+    "rl_integral_sample": lambda s, t, r, rng: rl_integral_sample(
+        r, IntegralOrders(0.5, 1.5), s, t, rng, size=SIZE),
+}
+
+
+def _breaches(call, check):
+    """The grid points where ``call`` raises outside the package's error
+    types or returns a value that ``check`` refuses."""
+    out = []
+    for s, t, rate in GRID:
+        try:
+            value = call(s, t, rate)
+        except SkellamFieldsError:
+            continue
+        except Exception as e:  # any other type breaks the contract
+            out.append(((s, t, rate), f"{type(e).__name__}: {e}"))
+            continue
+        if not check(value):
+            out.append(((s, t, rate), f"returned {value!r}"))
+    return out
+
+
+@pytest.mark.parametrize("name", PMFS)
+def test_pmf_contract(name):
+    pmf, ns = PMFS[name]
+    for n in ns:
+        breaches = _breaches(lambda s, t, r: pmf(s, t, r, n),
+                             lambda p: math.isfinite(p) and 0.0 <= p <= 1.0)
+        assert not breaches, f"{name}(n={n}): {breaches[:5]}"
+
+
+@pytest.mark.parametrize("name", SAMPLERS)
+def test_sampler_contract(name):
+    sampler = SAMPLERS[name]
+    breaches = _breaches(lambda s, t, r: sampler(s, t, r, RngStream(1)),
+                         lambda draws: bool(np.all(np.isfinite(draws))))
+    assert not breaches, f"{name}: {breaches[:5]}"

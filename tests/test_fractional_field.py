@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -6,6 +7,7 @@ from scipy.integrate import quad
 
 from skellam_fields import (
     ArgumentRangeError,
+    BoxRegion,
     ConvergenceGuardError,
     FracOrders,
     FsrfModel,
@@ -30,6 +32,7 @@ from skellam_fields import (
     fsrf3_moments,
     fsrf3_pmf,
     fsrf3_sample,
+    gsrf_moments,
     singular_cov_integral,
     singular_cov_integral_checked,
     srf_pde_residual,
@@ -37,7 +40,7 @@ from skellam_fields import (
     srf_pmf,
     tv_distance,
 )
-from skellam_fields.series import DEFAULT_CONTROL, sum_series_tracked
+from skellam_fields.series import sum_series_tracked
 from skellam_fields.specfun import WrightSpec, wright_tracked
 
 PARAMS = SkellamParams(1.0, 0.5)
@@ -222,6 +225,15 @@ class TestFsrf1:
         mean, _, _ = fsrf1_moments(model, P11, P11)
         assert mean == pytest.approx(4.0 / math.pi, abs=1e-12)
 
+    def test_covariance_of_an_unordered_pair(self):
+        p1, p2 = GridPoint(1.0, 2.0), GridPoint(2.0, 1.0)
+        model = FsrfModel("I", PARAMS, FracOrders(1.0, 1.0))
+        box = BoxRegion((0.0, 0.0), (1.0, 2.0)), BoxRegion((0.0, 0.0), (2.0, 1.0))
+        assert gsrf_moments(PARAMS.to_gsrf(), *box)[2] == pytest.approx(1.5, abs=1e-12)
+        assert fsrf1_moments(model, p1, p2)[2] == pytest.approx(1.5, abs=1e-10)
+        model = FsrfModel("I", PARAMS, FracOrders(0.7, 0.8))
+        assert fsrf1_moments(model, p1, p2)[2] == fsrf1_moments(model, p2, p1)[2]
+
     def test_covariance_equals_variance_at_coincident_points(self):
         model = FsrfModel("I", SkellamParams(2.0, 1.0), FracOrders(0.7, 0.6))
         _, var, cov = fsrf1_moments(model, P11, P11)
@@ -384,7 +396,7 @@ class TestFsrf2:
         assert abs(draws.mean() - mean) / math.sqrt(var / draws.size) < 4.0
 
 
-def _paper_double_series(model, s, t, n, ctrl=DEFAULT_CONTROL):
+def _paper_double_series(model, s, t, n):
     """The paper's kind-III pmf: a double series over rows r and columns l
     with an inner 4Psi5 Wright function, kept as a reference for the
     convolution.  It swaps the components for n < 0 as the library does."""
@@ -403,7 +415,7 @@ def _paper_double_series(model, s, t, n, ctrl=DEFAULT_CONTROL):
 
     def row(r):
         def terms():
-            for l in range(ctrl.max_terms + 1):
+            for l in itertools.count():
                 spec = WrightSpec(
                     upper=((r + m + 1.0, 1.0), (r + m + 1.0, 1.0),
                            (l + 1.0, 1.0), (l + 1.0, 1.0)),
@@ -413,13 +425,13 @@ def _paper_double_series(model, s, t, n, ctrl=DEFAULT_CONTROL):
                 )
                 coef = math.exp((r + m) * lya + l * lyb - math.lgamma(r + 1)
                                 - math.lgamma(l + 1))
-                w, w_noise = wright_tracked(spec, x, ctrl)
+                w, w_noise = wright_tracked(spec, x)
                 yield (-coef * w if (r + l) % 2 else coef * w), coef * w_noise
 
-        return sum_series_tracked(terms(), ctrl)
+        return sum_series_tracked(terms())
 
-    rows = (row(r) for r in range(ctrl.max_terms + 1))
-    return sum_series_tracked(rows, ctrl)[0]
+    rows = (row(r) for r in itertools.count())
+    return sum_series_tracked(rows)[0]
 
 
 class TestFsrf3:

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import mpmath
@@ -11,7 +12,6 @@ from skellam_fields import (
     ConvergenceGuardError,
     GammaDomainError,
     GammaPoleError,
-    SeriesControl,
     SeriesNonConvergenceError,
     ValidationError,
     WrightSpec,
@@ -21,6 +21,7 @@ from skellam_fields import (
     mittag_leffler3,
     wright,
 )
+from skellam_fields.series import sum_series
 from skellam_fields.specfun import wright_tracked
 
 
@@ -54,10 +55,6 @@ class TestBesselI:
     def test_range_guard(self):
         with pytest.raises(ArgumentRangeError):
             bessel_i(0, 51.0)
-
-    def test_non_convergence_flag(self):
-        with pytest.raises(SeriesNonConvergenceError):
-            bessel_i(0, 40.0, SeriesControl(max_terms=5))
 
     def test_negative_argument_parity(self):
         assert bessel_i(2, -1.3) == pytest.approx(bessel_i(2, 1.3), rel=1e-15)
@@ -184,14 +181,12 @@ class TestWright:
             with pytest.raises(SeriesNonConvergenceError):
                 wright(spec, x)
 
-    def test_cache_is_keyed_on_control(self):
-        spec = WrightSpec(((1.0, 1.0),), ((1.0, 0.5),))
-        wright_tracked(spec, -3.0)
-        # the cached default-control value must not answer a tighter control,
-        # and a refusal is raised again, not cached
+    def test_refusal_is_not_cached(self):
+        # margin 0 outside the radius 0.5: a refusal is raised again, not cached
+        spec = WrightSpec(((1.0, 1.0), (1.0, 1.0)), ((1.0, 0.5), (1.0, 0.5)))
         for _ in range(2):
             with pytest.raises(SeriesNonConvergenceError, match="no convergence"):
-                wright_tracked(spec, -3.0, SeriesControl(max_terms=5))
+                wright_tracked(spec, 0.8)
 
     def test_zero_weight_rejected(self):
         with pytest.raises(ValidationError):
@@ -224,13 +219,11 @@ class TestLogGamma:
 
 
 class TestSeriesControl:
-    def test_validation(self):
-        with pytest.raises(ValidationError):
-            SeriesControl(rel_tol=0.0)
-        with pytest.raises(ValidationError):
-            SeriesControl(max_terms=0)
-        with pytest.raises(ValidationError):
-            SeriesControl(consecutive_small=0)
+    """The stopping rule of the series core."""
+
+    def test_non_convergence_flag(self):
+        with pytest.raises(SeriesNonConvergenceError, match="no convergence within 500 terms"):
+            sum_series(itertools.repeat(1.0))
 
     @given(st.integers(min_value=-8, max_value=8),
            st.floats(min_value=0.01, max_value=10.0, allow_nan=False))
