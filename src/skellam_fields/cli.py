@@ -54,9 +54,42 @@ from .suites import DEFAULT_SEED, run_suite, suite_names
 from .verification import McConfig, convergence_study
 
 
+_EXACT_INT = 2.0 ** 53  # below it in magnitude, every integer is a float64
+
+
+def _integer_draws(draws: np.ndarray) -> np.ndarray | None:
+    """The draws as int64 when "%d" prints each one as the per-value form
+    does, else None: an integer dtype that int64 holds, or float64 draws that
+    are integral, below 2^53 in magnitude and not -0.0 (there FLOAT_FORMAT
+    prints the digits of "%d")."""
+    if not len(draws):
+        return None
+    if np.issubdtype(draws.dtype, np.integer) and np.can_cast(draws.dtype, np.int64):
+        return draws.astype(np.int64, copy=False)
+    if draws.dtype != np.float64 or not (-_EXACT_INT < draws.min() and draws.max() < _EXACT_INT):
+        return None
+    ints = draws.astype(np.int64)
+    # Bit equality of the round trip rules out fractions and -0.0 at once.
+    return ints if np.array_equal(ints.astype(np.float64).view(np.int64),
+                                  draws.view(np.int64)) else None
+
+
 def _format_draws(draws: np.ndarray) -> str:
-    """One line per draw: integers in full, floats with FLOAT_FORMAT, built
-    by a single %-format over the whole array."""
+    """One line per draw: integers in full, floats with FLOAT_FORMAT, the
+    bytes of the per-value form.
+
+    Integer-valued draws over a range no wider than the array (the counts of
+    every field) are written through a table of one "%d" line per value in
+    [min, max], with one gather and one join.  Other draws (real-valued,
+    non-finite, -0.0, a wide range, none) are built by a single %-format over
+    the whole array.
+    """
+    ints = _integer_draws(draws)
+    if ints is not None:
+        lo, hi = int(ints.min()), int(ints.max())
+        if hi - lo <= len(ints):
+            table = np.array(["%d\n" % v for v in range(lo, hi + 1)], dtype=object)
+            return "".join(table[ints - lo].tolist())
     line = ("%d" if np.issubdtype(draws.dtype, np.integer) else FLOAT_FORMAT) + "\n"
     return (line * len(draws)) % tuple(draws.tolist())
 

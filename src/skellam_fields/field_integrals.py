@@ -101,7 +101,7 @@ def rl_integral_sample(lam: float, orders: IntegralOrders, s: float, t: float,
     """
     if not lam > 0.0:
         raise ValidationError("lam: must be > 0")
-    if s < 0.0 or t < 0.0:
+    if not (s >= 0.0 and t >= 0.0):
         raise ValidationError("s/t: must be >= 0")
     n = 1 if size is None else int(size)
     out = _pathwise_rl(lam, orders.nu1, orders.nu2, s, t, rng.generator, n)
@@ -203,7 +203,7 @@ def gsrf_integral_sample(params: GsrfParams, s: float, t: float,
                          rng: RngStream, size: int | None = None):
     """Exact pathwise Riemann integral of a generalized Skellam scatter:
     sum_j j sum_i (s - x_i^j)(t - y_i^j)."""
-    if s < 0.0 or t < 0.0:
+    if not (s >= 0.0 and t >= 0.0):
         raise ValidationError("s/t: must be >= 0")
     gen = rng.generator
     n = 1 if size is None else int(size)
@@ -224,9 +224,11 @@ def scaled_compound_sample(lam: float, jump_law: Callable[[np.random.Generator, 
     """
     if not lam > 0.0:
         raise ValidationError("lam: must be > 0")
+    if not (s >= 0.0 and t >= 0.0):
+        raise ValidationError("s/t: must be >= 0")
     gen = rng.generator
     n = 1 if size is None else int(size)
-    counts = gen.poisson(lam * s * t, size=n)
+    counts = _poisson(gen, lam * s * t, n)
     total = int(counts.sum())
     xvals = np.asarray(jump_law(gen, total), dtype=float)
     if xvals.shape != (total,):

@@ -147,7 +147,7 @@ def _time_changed_pmf(l1: float, l2: float, alpha: float, beta: float, s: float,
     Gamma(m + 1 + r) rows above and below cancel exactly.  A refusal of the
     Wright evaluator is re-raised with label and n in front.
     """
-    if s < 0.0 or t < 0.0:
+    if not (s >= 0.0 and t >= 0.0):
         raise ValidationError("s/t: must be >= 0")
     q = s ** alpha * t ** beta
     if q == 0.0:
@@ -188,7 +188,9 @@ def _time_changed_sample(l1: float, l2: float, alpha: float, beta: float, s: flo
     e1 = np.asarray(sample_inverse_subordinator(alpha, s, rng, size=size))
     e2 = np.asarray(sample_inverse_subordinator(beta, t, rng, size=size))
     area = e1 * e2
-    out = _poisson(gen, l1 * area, size) - _poisson(gen, l2 * area, size)
+    out = _poisson(gen, l1 * area, size)
+    if l2 > 0.0:
+        out = out - _poisson(gen, l2 * area, size)
     return int(out) if size is None else out
 
 
@@ -314,6 +316,8 @@ def fprf_sample_pair(lam: float, alpha: float, beta: float,
     increment over the L-shaped region between the two random rectangles.
     Returns an array of shape (size, 2).
     """
+    if not lam > 0.0:
+        raise ValidationError("lam: must be > 0")
     if p2.s < p1.s or p2.t < p1.t:
         raise ValidationError("p1/p2: joint sampling requires p1 <= p2 coordinatewise")
     gen = rng.generator
@@ -327,8 +331,8 @@ def fprf_sample_pair(lam: float, alpha: float, beta: float,
 
     a1, a2 = axis_pair(alpha, p1.s, p2.s)
     b1, b2 = axis_pair(beta, p1.t, p2.t)
-    n1 = gen.poisson(lam * a1 * b1)
-    inc = gen.poisson(lam * np.maximum(a2 * b2 - a1 * b1, 0.0))
+    n1 = _poisson(gen, lam * a1 * b1, None)
+    inc = _poisson(gen, lam * np.maximum(a2 * b2 - a1 * b1, 0.0), None)
     return np.column_stack([n1, n1 + inc])
 
 

@@ -127,7 +127,7 @@ def sample_point_field(rate: float, region: BoxRegion, rng: RngStream) -> PointP
     if not rate > 0.0:
         raise ValidationError("rate: must be > 0")
     gen = rng.generator
-    n = int(gen.poisson(rate * region.measure))
+    n = int(_poisson(gen, rate * region.measure, None))
     lo = np.asarray(region.lower)
     hi = np.asarray(region.upper)
     pts = lo + (hi - lo) * gen.random((n, region.dims))

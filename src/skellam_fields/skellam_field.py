@@ -281,7 +281,7 @@ def gsrf_compound_sample(params: GsrfParams, region: BoxRegion, rng: RngStream,
     """
     gen = rng.generator
     total = params.total_rate
-    n = gen.poisson(total * region.measure, size=size)
+    n = _poisson(gen, total * region.measure, size)
     pvals = params.rates / total
     counts = gen.multinomial(n, pvals)
     out = counts @ params.jump_values
@@ -330,7 +330,7 @@ def srf_pmf(params: SkellamParams, s: float, t: float, n: int) -> float:
 
     exp(-(l1+l2) s t) (l1/l2)^{n/2} I_{|n|}(2 sqrt(l1 l2) s t).
     """
-    if s < 0.0 or t < 0.0:
+    if not (s >= 0.0 and t >= 0.0):
         raise ValidationError("s/t: must be >= 0")
     st = s * t
     if st == 0.0:
@@ -404,7 +404,7 @@ def lattice_sample(spec: LatticeSpec, params: GsrfParams, s: float, t: float,
     otherwise.  Under the homogeneous rule the jump-type counts over the m
     iid cells are multinomial, which is sampled directly.
     """
-    if s < 0.0 or t < 0.0:
+    if not (s >= 0.0 and t >= 0.0):
         raise ValidationError("s/t: must be >= 0")
     gen = rng.generator
     ls, lt = int(math.floor(spec.k * s)), int(math.floor(spec.k * t))

@@ -5,6 +5,9 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from skellam_fields import PmfTable
 from skellam_fields.cli import MODELS, _format_draws, build_parser, main, parse_config_text
@@ -127,14 +130,47 @@ def _per_value_text(draws) -> str:
                    for x in draws)
 
 
+EXACT = 2 ** 53  # float64 holds every integer below it in magnitude
+
+
 @pytest.mark.parametrize("draws", [
     np.array([0, -1, 7, -123456789012, 2 ** 62, -(2 ** 63)], dtype=np.int64),
     np.array([0.0, -0.0, 5e-324, 1e17, 2.0 ** 53 + 2, math.inf, -math.inf, math.nan,
               0.1, -2.5, 1.0 / 3.0, 3.0]),
     np.array([], dtype=np.int64),
     np.array([], dtype=float),
-], ids=["int64", "float64", "empty-int", "empty-float"])
+    np.array([-3.0, 0.0, 2.0, -1.0, 2.0, -3.0]),
+    np.array([EXACT - 1, EXACT - 2, EXACT - 1], dtype=float),
+    np.array([-(EXACT - 1), -(EXACT - 2), -(EXACT - 1)], dtype=float),
+    np.array([EXACT, EXACT - 1], dtype=float),
+    np.array([1e17, 1e17]),
+    np.array([1.0, 0.0, -0.0, 2.0]),
+    np.array([0, 10], dtype=np.int64),
+    np.array([0.0, 10.0]),
+    np.array([2 ** 63 - 1, 2 ** 63 - 2, 2 ** 63 - 1], dtype=np.int64),
+    np.array([-(2 ** 63), -(2 ** 63) + 1], dtype=np.int64),
+    np.array([5, 5, 5, 5], dtype=np.int64),
+    np.array([-7], dtype=np.int64),
+    np.array([-2.0]),
+    np.array([-1, 3, 0, 2], dtype=np.int32),
+], ids=["int64", "float64", "empty-int", "empty-float", "integral-float-negatives",
+        "float-below-2^53", "float-above-minus-2^53", "float-at-2^53", "float-1e17", "minus-zero",
+        "int-range-wider-than-array", "float-range-wider-than-array", "int64-top",
+        "int64-bottom", "int64-constant", "int64-single", "float-single", "int32"])
 def test_sample_formatter_matches_per_value_form(draws):
+    assert _format_draws(draws) == _per_value_text(draws)
+
+
+_INTS = st.one_of(st.integers(-30, 30), st.integers(-(2 ** 63), 2 ** 63 - 1))
+_FLOATS = st.one_of(st.integers(-30, 30).map(float),
+                    st.sampled_from([-0.0, 0.5, float(EXACT - 1), -float(EXACT - 1), 1e17]),
+                    st.floats(allow_nan=True, allow_infinity=True))
+
+
+@given(st.one_of(hnp.arrays(np.int64, st.integers(0, 40), elements=_INTS),
+                 hnp.arrays(np.float64, st.integers(0, 40), elements=_FLOATS)))
+@settings(max_examples=300, deadline=None)
+def test_sample_formatter_property(draws):
     assert _format_draws(draws) == _per_value_text(draws)
 
 

@@ -13,19 +13,29 @@ from skellam_fields import (
     BoxRegion,
     FracOrders,
     FsrfModel,
+    GridPoint,
     GsrfParams,
+    LatticeSpec,
     RngStream,
     SkellamFieldsError,
     SkellamParams,
+    ValidationError,
     fprf_pmf,
     fprf_sample,
+    fprf_sample_pair,
     fsrf1_pmf,
     fsrf1_sample,
     fsrf2_pmf,
+    fsrf2_sample,
     fsrf3_pmf,
     fsrf3_sample,
+    gsrf_compound_sample,
     gsrf_count,
+    gsrf_integral_sample,
+    lattice_sample,
+    sample_point_field,
     sample_poisson,
+    scaled_compound_sample,
     srf_pmf,
 )
 from skellam_fields.field_integrals import IntegralOrders, rl_integral_sample
@@ -49,15 +59,34 @@ PMFS = {
     "fsrf3_pmf": (lambda s, t, r, n: fsrf3_pmf(_kind("III", r), s, t, n), (0, 1, -2)),
 }
 
+
+def _jumps(r):
+    return GsrfParams(((1.0, r), (-1.0, r)))
+
+
+def _box(s, t):
+    return BoxRegion((0.0, 0.0), (s, t))
+
+
 SAMPLERS = {
     "sample_poisson": lambda s, t, r, rng: sample_poisson(r * s * t, rng, size=SIZE),
-    "gsrf_count": lambda s, t, r, rng: gsrf_count(
-        GsrfParams(((1.0, r), (-1.0, r))), BoxRegion((0.0, 0.0), (s, t)), rng, size=SIZE),
+    "sample_point_field": lambda s, t, r, rng: sample_point_field(r, _box(s, t), rng).points,
+    "gsrf_count": lambda s, t, r, rng: gsrf_count(_jumps(r), _box(s, t), rng, size=SIZE),
+    "gsrf_compound_sample": lambda s, t, r, rng: gsrf_compound_sample(
+        _jumps(r), _box(s, t), rng, size=SIZE),
     "fprf_sample": lambda s, t, r, rng: fprf_sample(r, 0.7, 0.8, s, t, rng, size=SIZE),
+    # p1 = p2, so each axis is one exact draw and the path sampler never runs.
+    "fprf_sample_pair": lambda s, t, r, rng: fprf_sample_pair(
+        r, 0.7, 0.8, GridPoint(s, t), GridPoint(s, t), rng, SIZE),
     "fsrf1_sample": lambda s, t, r, rng: fsrf1_sample(_kind("I", r), s, t, rng, size=SIZE),
+    "fsrf2_sample": lambda s, t, r, rng: fsrf2_sample(_kind("II", r), s, t, rng, size=SIZE),
     "fsrf3_sample": lambda s, t, r, rng: fsrf3_sample(_kind("III", r), s, t, rng, size=SIZE),
     "rl_integral_sample": lambda s, t, r, rng: rl_integral_sample(
         r, IntegralOrders(0.5, 1.5), s, t, rng, size=SIZE),
+    "gsrf_integral_sample": lambda s, t, r, rng: gsrf_integral_sample(
+        _jumps(r), s, t, rng, size=SIZE),
+    "scaled_compound_sample": lambda s, t, r, rng: scaled_compound_sample(
+        r, lambda gen, n: np.ones(n), s, t, rng, size=SIZE),
 }
 
 
@@ -93,3 +122,15 @@ def test_sampler_contract(name):
     breaches = _breaches(lambda s, t, r: sampler(s, t, r, RngStream(1)),
                          lambda draws: bool(np.all(np.isfinite(draws))))
     assert not breaches, f"{name}: {breaches[:5]}"
+
+
+@pytest.mark.parametrize("call", [
+    lambda: fprf_pmf(1.0, 0.7, 0.7, math.nan, 1.0, 0),
+    lambda: srf_pmf(SkellamParams(1.0, 1.0), math.nan, 1.0, 0),
+    lambda: rl_integral_sample(1.0, IntegralOrders(1.0, 1.0), math.nan, 1.0, RngStream(1)),
+    lambda: lattice_sample(LatticeSpec(4), _jumps(1.0), 1.0, math.nan, RngStream(1)),
+    lambda: scaled_compound_sample(1.0, lambda gen, n: np.ones(n), math.nan, 1.0, RngStream(1)),
+], ids=["fprf_pmf", "srf_pmf", "rl_integral_sample", "lattice_sample", "scaled_compound_sample"])
+def test_nan_time_is_named(call):
+    with pytest.raises(ValidationError, match="s/t"):
+        call()
