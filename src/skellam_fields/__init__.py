@@ -70,7 +70,6 @@ from .fractional_field import (
     fsrf3_pmf,
     fsrf3_sample,
     singular_cov_integral,
-    singular_cov_integral_checked,
 )
 from .field_integrals import (
     CfGrid,

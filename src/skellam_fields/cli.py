@@ -19,7 +19,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import SkellamFieldsError, UnknownSuiteError, ValidationError
+from .errors import ArgumentRangeError, SkellamFieldsError, UnknownSuiteError, ValidationError
 from .field_integrals import IntegralOrders, gsrf_log_cf, levy_integral_cf, prf_integral_cf, rl_integral_sample, rl_integral_moments
 from .fractional_field import (
     FracOrders,
@@ -323,6 +323,8 @@ def _prf_moments(cfg, p, p2) -> dict:
     out = {"mean": lam * p.s * p.t, "var": lam * p.s * p.t}
     if p2:
         out["cov"] = lam * min(p.s, p2.s) * min(p.t, p2.t)
+    if not all(map(math.isfinite, out.values())):
+        raise ArgumentRangeError("PRF moments: a moment leaves the double range")
     return out
 
 

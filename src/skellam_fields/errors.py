@@ -1,4 +1,8 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the guard that turns a
+closed-form moment beyond the double range into one of them."""
+
+import functools
+import math
 
 
 class SkellamFieldsError(Exception):
@@ -50,3 +54,21 @@ class WindowMismatchError(SkellamFieldsError, ValueError):
 
 class UnknownSuiteError(SkellamFieldsError, KeyError):
     """A verification suite name is not registered."""
+
+
+def moments_in_range(fn):
+    """Decorate a closed-form moment function so that a value beyond the
+    double range, whether float arithmetic raised OverflowError on the way or
+    an inf or nan came out, raises ArgumentRangeError naming the function."""
+
+    @functools.wraps(fn)
+    def checked(*args, **kwargs):
+        try:
+            values = fn(*args, **kwargs)
+        except OverflowError:
+            values = (math.inf,)
+        if not all(map(math.isfinite, values)):
+            raise ArgumentRangeError(f"{fn.__name__}: a moment leaves the double range")
+        return values
+
+    return checked

@@ -21,16 +21,15 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
-from scipy.special import roots_jacobi
 
 from .errors import (
+    ArgumentRangeError,
     ConvergenceGuardError,
-    QuadratureError,
     SkellamFieldsError,
     ValidationError,
+    moments_in_range,
 )
 from .rng import RngStream
 from .sampling import (
@@ -64,11 +63,7 @@ __all__ = [
     "fsrf3_pmf",
     "fsrf3_moments",
     "singular_cov_integral",
-    "singular_cov_integral_checked",
 ]
-
-# Node-doubling agreement demanded of the covariance quadrature.
-_QUAD_STABILITY = 1e-9
 
 # Cancellation budget of the fractional pmf series, applied to a
 # conservative upper-bound noise estimate (summed log-gamma magnitudes times
@@ -187,10 +182,12 @@ def _time_changed_sample(l1: float, l2: float, alpha: float, beta: float, s: flo
     gen = rng.generator
     e1 = np.asarray(sample_inverse_subordinator(alpha, s, rng, size=size))
     e2 = np.asarray(sample_inverse_subordinator(beta, t, rng, size=size))
-    area = e1 * e2
-    out = _poisson(gen, l1 * area, size)
-    if l2 > 0.0:
-        out = out - _poisson(gen, l2 * area, size)
+    # An inf or nan mean is refused by name in _poisson, so numpy need not warn.
+    with np.errstate(over="ignore", invalid="ignore"):
+        area = e1 * e2
+        out = _poisson(gen, l1 * area, size)
+        if l2 > 0.0:
+            out = out - _poisson(gen, l2 * area, size)
     return int(out) if size is None else out
 
 
@@ -245,48 +242,61 @@ def fprf_pmf(lam: float, alpha: float, beta: float, s: float, t: float, n: int) 
     return _time_changed_pmf(lam, 0.0, alpha, beta, s, t, n, "fprf_pmf")[0]
 
 
-@lru_cache(maxsize=64)
-def _jacobi_rule(nodes: int, alpha: float):
-    x, w = roots_jacobi(nodes, 0.0, alpha - 1.0)
-    return x, w
+def _kernel_piece(sigma: float, c: float, alpha: float) -> float:
+    """T(sigma, c) = int_0^c (sigma - x)^alpha x^(alpha-1) dx for sigma >= c,
+    in closed form through Gauss's hypergeometric function at z = c / sigma.
 
-
-def _kernel_piece(sigma: float, c: float, alpha: float, nodes: int) -> float:
-    """T(sigma) = int_0^c (sigma - x)^alpha x^(alpha-1) dx for sigma >= c.
-
-    Gauss-Jacobi with weight x^(alpha-1) absorbs the left-endpoint
-    singularity; the coincident case sigma = c is a Beta integral in closed
-    form, which also keeps the right-endpoint cusp off the quadrature path.
+    For z <= 1/2, T = (sigma c)^alpha / alpha 2F1(-alpha, alpha; alpha+1; z),
+    summed as its power series.  For z > 1/2 the 1 - z connection formula
+    (DLMF 15.8.4), whose first part collapses since 2F1(a, b; a; w) =
+    (1 - w)^-b, gives T = sigma^(2 alpha) [B(alpha, alpha+1) - z^alpha
+    w^(1+alpha) / (1+alpha) 2F1(1+2 alpha, 1; alpha+2; w)] with w = 1 - z,
+    formed as (sigma - c) / sigma so that near-coincident pairs keep it
+    exact.  Past its first term each series has terms of one sign whose ratio
+    stays below its argument, at most 1/2, so the tail after a term is
+    smaller than the term: stopping at a term below 1e-17 of the sum leaves
+    under half an ulp.  Neither form meets a gamma pole, alpha = 1 included.
+    A value beyond the double range comes back as inf.
     """
     if c == 0.0:
         return 0.0
-    if sigma < c:
-        raise ValidationError("sigma: must be >= the integration endpoint")
-    if abs(sigma - c) <= 1e-14 * max(sigma, c):
-        return c ** (2.0 * alpha) * _gamma(alpha) * _gamma(alpha + 1.0) / _gamma(2.0 * alpha + 1.0)
-    xi, w = _jacobi_rule(nodes, alpha)
-    x = c * (xi + 1.0) / 2.0
-    return (c / 2.0) ** alpha * float(np.sum(w * (sigma - x) ** alpha))
+    z = c / sigma
+    sa = sigma ** alpha
+    total = term = 1.0
+    k = 0.0
+    if z <= 0.5:
+        while abs(term) > 1e-17 * total:
+            term *= (k - alpha) * (k + alpha) / ((k + alpha + 1.0) * (k + 1.0)) * z
+            total += term
+            k += 1.0
+        return sa * c ** alpha / alpha * total
+    w = (sigma - c) / sigma
+    while term > 1e-17 * total:
+        term *= (k + 1.0 + 2.0 * alpha) / (k + alpha + 2.0) * w
+        total += term
+        k += 1.0
+    beta_fn = _gamma(alpha) * _gamma(alpha + 1.0) / _gamma(2.0 * alpha + 1.0)
+    return sa * sa * (beta_fn - z ** alpha * w ** (1.0 + alpha) / (1.0 + alpha) * total)
 
 
-def singular_cov_integral(s: float, sp: float, alpha: float, nodes: int = 64) -> float:
-    """int_0^{s ^ sp} ((s-x)^alpha + (sp-x)^alpha) x^(alpha-1) dx."""
+def singular_cov_integral(s: float, sp: float, alpha: float) -> float:
+    """int_0^{s ^ sp} ((s-x)^alpha + (sp-x)^alpha) x^(alpha-1) dx, in closed form.
+
+    Raises ArgumentRangeError when the value leaves the double range.
+    """
+    if not (0.0 <= s < math.inf and 0.0 <= sp < math.inf):
+        raise ValidationError("s/sp: must be finite and >= 0")
+    if not _order_ok(alpha):
+        raise ValidationError("alpha: must be in (0, 1]")
     c = min(s, sp)
-    return _kernel_piece(s, c, alpha, nodes) + _kernel_piece(sp, c, alpha, nodes)
+    value = _kernel_piece(s, c, alpha) + _kernel_piece(sp, c, alpha)
+    if not math.isfinite(value):
+        raise ArgumentRangeError(
+            f"singular_cov_integral({s:g}, {sp:g}, alpha={alpha:g}) leaves the double range")
+    return value
 
 
-def singular_cov_integral_checked(s: float, sp: float, alpha: float):
-    """Integral value plus its node-doubling relative change (64 vs 128 nodes)."""
-    v64 = singular_cov_integral(s, sp, alpha, nodes=64)
-    v128 = singular_cov_integral(s, sp, alpha, nodes=128)
-    rel = abs(v128 - v64) / max(abs(v64), 1e-300)
-    if rel >= _QUAD_STABILITY:
-        raise QuadratureError(
-            f"covariance quadrature unstable: node doubling moved the value by {rel:g}"
-        )
-    return v64, rel
-
-
+@moments_in_range
 def fprf_moments(lam: float, alpha: float, beta: float,
                  p1: GridPoint, p2: GridPoint):
     """Closed-form (mean, var) at p1 and covariance of the pair."""
@@ -331,8 +341,10 @@ def fprf_sample_pair(lam: float, alpha: float, beta: float,
 
     a1, a2 = axis_pair(alpha, p1.s, p2.s)
     b1, b2 = axis_pair(beta, p1.t, p2.t)
-    n1 = _poisson(gen, lam * a1 * b1, None)
-    inc = _poisson(gen, lam * np.maximum(a2 * b2 - a1 * b1, 0.0), None)
+    # An inf or nan mean is refused by name in _poisson, so numpy need not warn.
+    with np.errstate(over="ignore", invalid="ignore"):
+        n1 = _poisson(gen, lam * a1 * b1, None)
+        inc = _poisson(gen, lam * np.maximum(a2 * b2 - a1 * b1, 0.0), None)
     return np.column_stack([n1, n1 + inc])
 
 
@@ -360,6 +372,7 @@ def fsrf1_pmf(model: FsrfModel, s: float, t: float, n: int) -> float:
                              model.orders.beta, s, t, n, "fsrf1_pmf")[0]
 
 
+@moments_in_range
 def fsrf1_moments(model: FsrfModel, p1: GridPoint, p2: GridPoint):
     """Closed-form (mean, var) at p1 and covariance of the pair."""
     _require_kind(model, "I")
@@ -442,9 +455,12 @@ def fsrf2_pgf(model: FsrfModel, u: float, s: float, t: float) -> float:
                            l1 * q * (u - 1.0) + l2 * q * (1.0 / u - 1.0))
 
 
+@moments_in_range
 def fsrf2_moments(model: FsrfModel, s: float, t: float):
     """Closed-form (mean, var) of the singly time-changed field."""
     _require_kind(model, "II")
+    if not (s >= 0.0 and t >= 0.0):
+        raise ValidationError("s/t: must be >= 0")
     return _time_changed_mean_var(model.params.lambda1, model.params.lambda2,
                                   model.orders.alpha, 1.0, s, t)
 
@@ -495,6 +511,7 @@ def fsrf3_pmf(model: FsrfModel, s: float, t: float, n: int) -> float:
     return value
 
 
+@moments_in_range
 def fsrf3_moments(model: FsrfModel, p1: GridPoint, p2: GridPoint):
     """Component-wise sums and differences of the two fractional Poisson fields."""
     _require_kind(model, "III")

@@ -14,7 +14,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import LatticeSpecError, SingularPgfError, ValidationError
+from .errors import LatticeSpecError, SingularPgfError, ValidationError, moments_in_range
 from .rng import RngStream
 from .sampling import BoxRegion, _poisson
 from .specfun import bessel_i
@@ -247,20 +247,17 @@ def gsrf_count(params: GsrfParams, region: BoxRegion, rng: RngStream,
     return float(out) if size is None else out
 
 
+@moments_in_range
 def gsrf_moments(params: GsrfParams, region1: BoxRegion, region2: BoxRegion):
     """Exact (mean, variance) on region1 and covariance of the pair.
 
     Mean is sum_j j lambda_j |B1|, variance sum_j j^2 lambda_j |B1|, and the
     covariance replaces |B1| by the box-intersection measure |B1 n B2|.
     """
-    j = params.jump_values
-    lam = params.rates
+    first = sum(j * lam for j, lam in params.jumps)
+    second = sum(j * j * lam for j, lam in params.jumps)
     m1 = region1.measure
-    inter = region1.intersection_measure(region2)
-    mean = float((j * lam).sum() * m1)
-    var = float((j * j * lam).sum() * m1)
-    cov = float((j * j * lam).sum() * inter)
-    return mean, var, cov
+    return first * m1, second * m1, second * region1.intersection_measure(region2)
 
 
 def gsrf_superpose(p1: GsrfParams, p2: GsrfParams) -> GsrfParams:

@@ -279,6 +279,47 @@ def test_cli_entry_point_runs():
     assert proc.stdout.startswith("n,prob\n")
 
 
+def test_cli_calls_import_no_scipy():
+    # numpy is the only runtime dependency: scipy is for the tests alone
+    script = "\n".join([
+        "import contextlib, io, sys",
+        "from skellam_fields.cli import main",
+        "at = ['--set', 's=1', '--set', 't=1']",
+        "fprf = ['--set', 'lambda=1', '--set', 'alpha=0.7', '--set', 'beta=0.7', *at]",
+        "calls = [['pmf', '--set', 'model=FPRF', *fprf, '--set', 'n_min=0'],",
+        "         ['sample', '--set', 'model=FSRF1', '--set', 'lambda1=1', '--set', 'lambda2=0.5',",
+        "          '--set', 'alpha=0.7', '--set', 'beta=0.7', *at, '--set', 'replicates=10'],",
+        "         ['moments', '--set', 'model=FPRF', *fprf, '--set', 's2=1.5', '--set', 't2=1.2'],",
+        "         ['cf', '--set', 'model=PRF', '--set', 'lambda=1', *at],",
+        "         ['verify', '--suite', 'specfun']]",
+        "with contextlib.redirect_stdout(io.StringIO()):",
+        "    codes = [main(argv) for argv in calls]",
+        "print(codes, sorted(m for m in sys.modules if m.startswith('scipy')))",
+    ])
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[0, 0, 0, 0, 0] []\n"
+
+
+@pytest.mark.parametrize("argv, cause", [
+    (["sample", "--set", "model=FSRF1", "--set", "lambda1=1", "--set", "lambda2=0.5",
+      "--set", "alpha=0.7", "--set", "beta=0.7", "--set", "s=1e300", "--set", "t=1e300",
+      "--set", "replicates=3"], "Poisson mean"),
+    (["moments", "--set", "model=FPRF", "--set", "lambda=1", "--set", "alpha=0.7",
+      "--set", "beta=0.7", "--set", "s=1e300", "--set", "t=1", "--set", "s2=1e300",
+      "--set", "t2=1"], "double range"),
+    (["moments", "--set", "model=PRF", "--set", "lambda=1", "--set", "s=1e300",
+      "--set", "t=1e300"], "double range"),
+], ids=["sample-FSRF1", "moments-FPRF", "moments-PRF"])
+def test_out_of_range_stderr_is_one_error_line(argv, cause):
+    # a fresh process, so that numpy warnings reach stderr as they would
+    proc = subprocess.run([sys.executable, "-m", "skellam_fields.cli", *argv],
+                          capture_output=True, text=True)
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("error:") and cause in proc.stderr
+    assert proc.stderr.count("\n") == 1 and proc.stderr.endswith("\n")
+
+
 @pytest.mark.parametrize("settings, cause", [
     (["model=FPRF", "lambda=1", "alpha=0.5", "beta=0.3", "s=1", "n_min=0"], "alpha + beta"),
     (["model=FPRF", "lambda=2", "alpha=0.7", "beta=0.7", "s=1", "n_min=0", "n_max=12"],

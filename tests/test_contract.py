@@ -1,7 +1,8 @@
-"""The public-entry contract at the edges of every argument: a pmf or sampler
-either returns finite values (pmf entries in [0, 1]) or raises a
+"""The public-entry contract at the edges of every argument: a pmf, sampler or
+moment function either returns finite values (pmf entries in [0, 1]) or raises a
 SkellamFieldsError subclass that names the cause, never a bare numpy or math
-error.  The grid is deterministic because the edge values are the point."""
+error and never a numpy RuntimeWarning ahead of the refusal.  The grid is
+deterministic because the edge values are the point."""
 
 import itertools
 import math
@@ -10,6 +11,7 @@ import numpy as np
 import pytest
 
 from skellam_fields import (
+    ArgumentRangeError,
     BoxRegion,
     FracOrders,
     FsrfModel,
@@ -20,25 +22,32 @@ from skellam_fields import (
     SkellamFieldsError,
     SkellamParams,
     ValidationError,
+    fprf_moments,
     fprf_pmf,
     fprf_sample,
     fprf_sample_pair,
+    fsrf1_moments,
     fsrf1_pmf,
     fsrf1_sample,
+    fsrf2_moments,
     fsrf2_pmf,
     fsrf2_sample,
+    fsrf3_moments,
     fsrf3_pmf,
     fsrf3_sample,
     gsrf_compound_sample,
     gsrf_count,
     gsrf_integral_sample,
+    gsrf_moments,
     lattice_sample,
     sample_point_field,
     sample_poisson,
     scaled_compound_sample,
     srf_pmf,
 )
-from skellam_fields.field_integrals import IntegralOrders, rl_integral_sample
+from skellam_fields.field_integrals import IntegralOrders, rl_integral_moments, rl_integral_sample
+
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
 EDGES = (-1.0, 0.0, 1e-300, 1.0, 1e300, math.inf, math.nan)
 GRID = list(itertools.product(EDGES, repeat=3))  # (s, t, rate)
@@ -90,6 +99,23 @@ SAMPLERS = {
 }
 
 
+# Two-point moments pair the grid point with itself (the coincident kernel)
+# and with the unit point (a far-apart pair at the large edges).
+MOMENTS = {
+    "fprf_moments": lambda s, t, r, p2: fprf_moments(r, 0.7, 0.8, GridPoint(s, t), p2(s, t)),
+    "fsrf1_moments": lambda s, t, r, p2: fsrf1_moments(
+        _kind("I", r), GridPoint(s, t), p2(s, t)),
+    "fsrf2_moments": lambda s, t, r, p2: fsrf2_moments(_kind("II", r), s, t),
+    "fsrf3_moments": lambda s, t, r, p2: fsrf3_moments(
+        _kind("III", r), GridPoint(s, t), p2(s, t)),
+    "gsrf_moments": lambda s, t, r, p2: gsrf_moments(
+        _jumps(r), _box(s, t), _box(p2(s, t).s, p2(s, t).t)),
+    "rl_integral_moments": lambda s, t, r, p2: rl_integral_moments(
+        r, IntegralOrders(0.5, 1.5), s, t),
+}
+SECOND_POINTS = {"coincident": GridPoint, "unit": lambda s, t: GridPoint(1.0, 1.0)}
+
+
 def _breaches(call, check):
     """The grid points where ``call`` raises outside the package's error
     types or returns a value that ``check`` refuses."""
@@ -124,6 +150,16 @@ def test_sampler_contract(name):
     assert not breaches, f"{name}: {breaches[:5]}"
 
 
+@pytest.mark.parametrize("second", SECOND_POINTS)
+@pytest.mark.parametrize("name", MOMENTS)
+def test_moments_contract(name, second):
+    moments, p2 = MOMENTS[name], SECOND_POINTS[second]
+    breaches = _breaches(lambda s, t, r: moments(s, t, r, p2),
+                         lambda values: all(isinstance(v, float) and math.isfinite(v)
+                                            for v in values))
+    assert not breaches, f"{name}: {breaches[:5]}"
+
+
 @pytest.mark.parametrize("call", [
     lambda: fprf_pmf(1.0, 0.7, 0.7, math.nan, 1.0, 0),
     lambda: srf_pmf(SkellamParams(1.0, 1.0), math.nan, 1.0, 0),
@@ -134,3 +170,10 @@ def test_sampler_contract(name):
 def test_nan_time_is_named(call):
     with pytest.raises(ValidationError, match="s/t"):
         call()
+
+
+def test_gsrf_integral_kernel_overflow_is_named():
+    # a mean of 1e4 points per jump whose kernels (s-x)(t-y) pass 1e308
+    params = GsrfParams(((1.0, 1e-306), (-1.0, 1e-306)))
+    with pytest.raises(ArgumentRangeError, match="double range"):
+        gsrf_integral_sample(params, 1e155, 1e155, RngStream(1), size=4)

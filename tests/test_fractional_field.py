@@ -1,9 +1,11 @@
 import itertools
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.integrate import quad
+from scipy.special import roots_jacobi
 
 from skellam_fields import (
     ArgumentRangeError,
@@ -34,7 +36,6 @@ from skellam_fields import (
     fsrf3_sample,
     gsrf_moments,
     singular_cov_integral,
-    singular_cov_integral_checked,
     srf_pde_residual,
     srf_pgf,
     srf_pmf,
@@ -152,11 +153,58 @@ class TestFprf:
         assert z < 4.0
 
 
+def _gauss_jacobi_cov_integral(s, sp, alpha, nodes):
+    """Gauss-Jacobi oracle for singular_cov_integral: the weight x^(alpha-1)
+    absorbs the left-endpoint singularity, and a coincident piece, whose
+    right endpoint has a cusp, is the Beta integral in closed form."""
+    xi, w = roots_jacobi(nodes, 0.0, alpha - 1.0)
+    c = min(s, sp)
+    total = 0.0
+    for sigma in (s, sp):
+        if sigma == c:
+            total += c ** (2 * alpha) * math.gamma(alpha) * math.gamma(alpha + 1.0) \
+                / math.gamma(2 * alpha + 1.0)
+        else:
+            total += (c / 2.0) ** alpha * float(np.sum(w * (sigma - c * (xi + 1.0) / 2.0) ** alpha))
+    return total
+
+
+def _hyp2f1_cov_integral(s, sp, alpha):
+    """40-digit oracle: each piece is (sigma c)^a / a 2F1(-a, a; a+1; c/sigma)."""
+    with mpmath.workdps(40):
+        a, s, sp = mpmath.mpf(alpha), mpmath.mpf(s), mpmath.mpf(sp)
+        c = min(s, sp)
+        return sum((sigma * c) ** a / a * mpmath.hyp2f1(-a, a, a + 1, c / sigma)
+                   for sigma in (s, sp))
+
+
 class TestCovarianceQuadrature:
     def test_node_doubling_stability(self):
+        # the closed form against the Gauss-Jacobi rule, itself stable under
+        # node doubling at these pairs
         for s, sp, alpha in [(1.0, 1.5, 0.7), (1.0, 1.0, 0.5), (1.2, 1.2, 0.9)]:
-            _, rel = singular_cov_integral_checked(s, sp, alpha)
-            assert rel < 1e-9
+            v64 = _gauss_jacobi_cov_integral(s, sp, alpha, 64)
+            v128 = _gauss_jacobi_cov_integral(s, sp, alpha, 128)
+            assert abs(v128 / v64 - 1.0) < 1e-9
+            assert abs(singular_cov_integral(s, sp, alpha) / v128 - 1.0) < 1e-9
+
+    @pytest.mark.parametrize("alpha", [1e-3, 0.05, 0.3, 0.7, 1.0])
+    def test_against_hypergeometric_oracle(self, alpha):
+        # near-coincident pairs, where a quadrature meets the right-endpoint
+        # cusp, and pairs sixteen decades apart
+        for s, sp in [(1.0, 1.0 + 1e-12), (1.0, 1.0 + 1e-9), (1.0 + 1e-9, 1.0),
+                      (1.0, 1.0 + 1e-6), (1.0, 2.0), (1e-8, 1e8), (1e8, 1e-8)]:
+            exact = _hyp2f1_cov_integral(s, sp, alpha)
+            value = singular_cov_integral(s, sp, alpha)
+            assert abs(value - exact) <= 2e-15 * exact, (s, sp)
+
+    def test_out_of_range(self):
+        with pytest.raises(ArgumentRangeError, match="double range"):
+            singular_cov_integral(1e300, 1e300, 0.9)
+        with pytest.raises(ValidationError, match="s/sp"):
+            singular_cov_integral(math.nan, 1.0, 0.7)
+        with pytest.raises(ValidationError, match="alpha"):
+            singular_cov_integral(1.0, 1.5, 0.0)
 
     def test_against_adaptive_quadrature(self):
         s, sp, alpha = 1.0, 1.5, 0.7
