@@ -336,6 +336,15 @@ def _prf_cf(cfg, p, xis) -> list:
     return [prf_integral_cf(cfg.rate, p.s, p.t, xi) for xi in xis]
 
 
+def _integral_cf(cfg, p, xis) -> list:
+    """The Riemann integral's CF: the rule behind it is the law of a product
+    of two uniforms, which covers the kernel at orders (1, 1) only."""
+    if cfg.integral_orders != IntegralOrders(1.0, 1.0):
+        raise ValidationError("nu1/nu2: cf is defined for the Riemann integral only "
+                              "(nu1 = nu2 = 1)")
+    return _prf_cf(cfg, p, xis)
+
+
 def _gsrf_cf(cfg, p, xis) -> list:
     log_phi = gsrf_log_cf(cfg.gsrf)
     return [levy_integral_cf(log_phi, p.s, p.t, xi) for xi in xis]
@@ -388,7 +397,7 @@ REGISTRY = {
                                                          p.s, p.t, rng, size=n),
         moments=lambda cfg, p, p2: _named(rl_integral_moments(cfg.rate, cfg.integral_orders,
                                                               p.s, p.t)),
-        cf=_prf_cf),
+        cf=_integral_cf),
 }
 
 MODELS = tuple(REGISTRY)

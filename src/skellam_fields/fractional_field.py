@@ -27,6 +27,7 @@ import numpy as np
 from .errors import (
     ArgumentRangeError,
     ConvergenceGuardError,
+    SeriesNonConvergenceError,
     SkellamFieldsError,
     ValidationError,
     moments_in_range,
@@ -41,7 +42,7 @@ from .sampling import (
 # sum_series and mittag_leffler3 are unused here: the benchmark tracer patches them.
 from .series import sum_series, sum_series_tracked
 from .skellam_field import GridPoint, SkellamParams, srf_pde_residual
-from .specfun import WrightSpec, mittag_leffler2, mittag_leffler3, wright_tracked
+from .specfun import WrightSpec, mittag_leffler2, mittag_leffler3, wright_capped, wright_tracked
 
 __all__ = [
     "FracOrders",
@@ -156,6 +157,7 @@ def _time_changed_pmf(l1: float, l2: float, alpha: float, beta: float, s: float,
     x = -(l1 + l2) * q
     orders = tuple(o for o in (alpha, beta) if o < 1.0)
     where = f"{label}(n={n})"
+    cap = SERIES_NOISE_CAP if noise_cap is None else noise_cap
 
     def terms():
         for k in (itertools.count() if ya > 0.0 and yb > 0.0 else range(1)):
@@ -165,11 +167,23 @@ def _time_changed_pmf(l1: float, l2: float, alpha: float, beta: float, s: float,
             # The Wright range check comes first: inside it the coefficient
             # cannot overflow.
             try:
-                w, w_noise = wright_tracked(spec, x)
+                try:
+                    w, w_noise = wright_tracked(spec, x)
+                except SeriesNonConvergenceError:
+                    if spec.convergence_margin == 0.0 or coef(k) == 0.0:
+                        raise
+                    # An entire series that cancels can reach its term cap
+                    # before the outer sum sees its noise: summed again under
+                    # the outer cap over its coefficient, it names the noise.
+                    wright_capped(spec, x, cap / coef(k))
+                    raise
             except SkellamFieldsError as e:
                 raise type(e)(f"{where}: {e}") from e
-            coef = math.exp((m0 + k) * lqa + k * lqb - _lgamma(m0 + k + 1) - _lgamma(k + 1))
-            yield coef * w, coef * w_noise
+            c = coef(k)
+            yield c * w, c * w_noise
+
+    def coef(k):
+        return math.exp((m0 + k) * lqa + k * lqb - _lgamma(m0 + k + 1) - _lgamma(k + 1))
 
     return sum_series_tracked(terms(), label=where, noise_cap=noise_cap)
 
@@ -445,14 +459,21 @@ def fsrf2_pmf(model: FsrfModel, s: float, t: float, n: int) -> float:
 
 
 def fsrf2_pgf(model: FsrfModel, u: float, s: float, t: float) -> float:
-    """pgf E_alpha(l1 s^a t (u-1) + l2 s^a t (1/u - 1))."""
+    """pgf E_alpha(l1 s^a t (u-1) + l2 s^a t (1/u - 1)).
+
+    Raises ArgumentRangeError when the argument leaves the double range or
+    the Mittag-Leffler range."""
     _require_kind(model, "II")
-    if u <= 0.0:
+    if not u > 0.0:
         raise ValidationError("u: must be > 0")
+    if not (s >= 0.0 and t >= 0.0):
+        raise ValidationError("s/t: must be >= 0")
     l1, l2 = model.params.lambda1, model.params.lambda2
     q = s ** model.orders.alpha * t
-    return mittag_leffler2(model.orders.alpha,
-                           l1 * q * (u - 1.0) + l2 * q * (1.0 / u - 1.0))
+    x = l1 * q * (u - 1.0) + l2 * q * (1.0 / u - 1.0)
+    if not math.isfinite(x):
+        raise ArgumentRangeError(f"fsrf2_pgf: argument {x:g} leaves the double range")
+    return mittag_leffler2(model.orders.alpha, x)
 
 
 @moments_in_range

@@ -9,12 +9,19 @@ from __future__ import annotations
 import io
 import json
 import math
+import sys
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import LatticeSpecError, SingularPgfError, ValidationError, moments_in_range
+from .errors import (
+    ArgumentRangeError,
+    LatticeSpecError,
+    SingularPgfError,
+    ValidationError,
+    moments_in_range,
+)
 from .rng import RngStream
 from .sampling import BoxRegion, _poisson
 from .specfun import bessel_i
@@ -47,6 +54,9 @@ TAIL_CLAMP = 1e-12
 # The pgf governing equation excludes lambda1 u^2 = lambda2; refuse u closer
 # than this to the singular point.
 PGF_SINGULAR_GUARD = 1e-3
+
+# Largest exponent whose exp is a finite double.
+_MAX_LOG = math.log(sys.float_info.max)
 
 
 @dataclass(frozen=True)
@@ -346,12 +356,18 @@ def srf_pmf_table(params: SkellamParams, s: float, t: float,
 
 
 def srf_pgf(params: SkellamParams, u: float, s: float, t: float) -> float:
-    """Probability generating function exp(l1 st (u-1) + l2 st (1/u - 1))."""
-    if u <= 0.0:
+    """Probability generating function exp(l1 st (u-1) + l2 st (1/u - 1)).
+
+    Raises ArgumentRangeError when the value leaves the double range."""
+    if not u > 0.0:
         raise ValidationError("u: must be > 0")
+    if not (s >= 0.0 and t >= 0.0):
+        raise ValidationError("s/t: must be >= 0")
     st = s * t
-    return math.exp(params.lambda1 * st * (u - 1.0)
-                    + params.lambda2 * st * (1.0 / u - 1.0))
+    exponent = params.lambda1 * st * (u - 1.0) + params.lambda2 * st * (1.0 / u - 1.0)
+    if not exponent <= _MAX_LOG:  # nan or past the double range
+        raise ArgumentRangeError(f"srf_pgf: exponent {exponent:g} leaves the double range")
+    return math.exp(exponent)
 
 
 def _check_pgf_regular(params: SkellamParams, u: float):

@@ -35,6 +35,7 @@ __all__ = [
     "WrightSpec",
     "wright",
     "wright_tracked",
+    "wright_capped",
     "BESSEL_ML_MAX_ARG",
     "WRIGHT_MAX_ARG",
 ]
@@ -215,6 +216,13 @@ def wright_tracked(spec: WrightSpec, x: float) -> tuple:
     process-wide cache, so a pmf table evaluates each Wright value once;
     refusals raise and are not cached.
     """
+    return wright_capped(spec, x, None)
+
+
+def wright_capped(spec: WrightSpec, x: float, noise_cap: float | None) -> tuple:
+    """:func:`wright_tracked` uncached, summed under ``noise_cap``: once the
+    noise passes the cap the sum raises SeriesNonConvergenceError naming the
+    cancellation."""
     if spec.convergence_margin < 0.0:
         raise ConvergenceGuardError(
             f"wright: convergence margin {spec.convergence_margin:g} is negative"
@@ -222,4 +230,4 @@ def wright_tracked(spec: WrightSpec, x: float) -> tuple:
     if abs(x) > WRIGHT_MAX_ARG:
         raise ArgumentRangeError(f"wright: |x| must be <= {WRIGHT_MAX_ARG}, got {x}")
     return sum_series_tracked(_tracked_power_terms(_wright_log_coeffs(spec), x),
-                              label=f"wright(x={x})")
+                              label=f"wright(x={x})", noise_cap=noise_cap)

@@ -231,6 +231,30 @@ def test_cf_command(capsys):
     assert rows[1]["re"] == pytest.approx(0.92039561879573, rel=1e-10)
 
 
+def test_integral_cf_is_the_riemann_cf(capsys):
+    # explicit orders (1, 1) print the Poisson field's integral CF
+    xis = "xi=-2,0.5"
+    code = main(["cf", "--set", "model=INTEGRAL", "--set", "lambda=1", "--set", "nu1=1",
+                 "--set", "nu2=1", "--set", "s=1", "--set", "t=1", "--set", xis,
+                 "--format", "json"])
+    assert code == 0
+    integral = capsys.readouterr().out
+    assert main(["cf", "--set", "model=PRF", "--set", "lambda=1", "--set", "s=1",
+                 "--set", "t=1", "--set", xis, "--format", "json"]) == 0
+    assert integral == capsys.readouterr().out
+
+
+@pytest.mark.parametrize("orders", [("0.5", "1.5"), ("1", "2"), ("0.7", "1")])
+def test_integral_cf_refuses_fractional_orders(orders, capsys):
+    code = main(["cf", "--set", "model=INTEGRAL", "--set", "lambda=1",
+                 "--set", f"nu1={orders[0]}", "--set", f"nu2={orders[1]}",
+                 "--set", "s=1", "--set", "t=1"])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "nu1/nu2" in captured.err
+
+
 def test_config_file_with_overrides(tmp_path, capsys):
     cfg = tmp_path / "exp.cfg"
     cfg.write_text("model = SRF\nlambda1 = 2.0\nlambda2 = 1.0\ns = 1\nt = 1\n"
@@ -330,8 +354,18 @@ def test_out_of_range_stderr_is_one_error_line(argv, cause):
      "fsrf2_pmf(n=0)"),
     (["model=FPRF", "lambda=0.3", "alpha=0.5", "beta=0.5", "s=1e300", "n_min=3", "n_max=3"],
      "fprf_pmf(n=3)"),
+    # an inner Wright sum that cancels reaches its term cap before the outer
+    # sum sees its noise; the refusal still names the noise
+    (["model=FPRF", "lambda=6", "alpha=0.7", "beta=0.7", "s=1", "n_min=0"],
+     "fprf_pmf(n=0): wright(x=-6.0): cancellation noise"),
+    (["model=FSRF3", "lambda1=8", "lambda2=4", "alpha=0.7", "beta=0.7", "alpha2=0.9",
+      "beta2=0.9", "s=1"], "component pmf(n=0): wright(x=-8.0): cancellation noise"),
+    # outside the radius of a margin-0 series the sum diverges
+    (["model=FPRF", "lambda=0.6", "alpha=0.5", "beta=0.5", "s=1", "n_min=0"],
+     "fprf_pmf(n=0): wright(x=-0.6): no convergence"),
 ], ids=["divergent-orders", "cancellation-noise", "fsrf2-cancellation-noise",
-        "fsrf2-wright-range", "fprf-wright-range-before-overflow"])
+        "fsrf2-wright-range", "fprf-wright-range-before-overflow",
+        "fprf-inner-cancellation", "fsrf3-component-cancellation", "fprf-outside-radius"])
 def test_fprf_divergent_orders_exit_cleanly(settings, cause, capsys):
     settings = [*settings, "t=1"]
     code = main(["pmf", *(arg for kv in settings for arg in ("--set", kv))])
@@ -400,6 +434,9 @@ UNDEFINED = {("GSRF", "pmf"), ("INTEGRAL", "pmf"),
              *((m, "cf") for m in ("FPRF", "SRF", "FSRF1", "FSRF2", "FSRF3")),
              *((m, "converge") for m in ("PRF", "FPRF", "FSRF1", "FSRF2", "FSRF3",
                                          "INTEGRAL"))}
+# Defined pairs that refuse the desk settings, with the key their error names:
+# the integral CF covers the Riemann orders nu1 = nu2 = 1 only.
+REFUSED = {("INTEGRAL", "cf"): "nu1/nu2"}
 
 
 def test_registry_lists_every_model():
@@ -416,5 +453,8 @@ def test_every_model_command_pair(model, command, capsys):
     if (model, command) in UNDEFINED:
         assert code == 2
         assert f"{command} is not defined for {model}" in err
+    elif (model, command) in REFUSED:
+        assert code == 2
+        assert REFUSED[model, command] in err
     else:
         assert code == 0, err

@@ -1,5 +1,5 @@
-"""The public-entry contract at the edges of every argument: a pmf, sampler or
-moment function either returns finite values (pmf entries in [0, 1]) or raises a
+"""The public-entry contract at the edges of every argument: a pmf, pgf, sampler
+or moment function either returns finite values (pmf entries in [0, 1]) or raises a
 SkellamFieldsError subclass that names the cause, never a bare numpy or math
 error and never a numpy RuntimeWarning ahead of the refusal.  The grid is
 deterministic because the edge values are the point."""
@@ -30,6 +30,7 @@ from skellam_fields import (
     fsrf1_pmf,
     fsrf1_sample,
     fsrf2_moments,
+    fsrf2_pgf,
     fsrf2_pmf,
     fsrf2_sample,
     fsrf3_moments,
@@ -43,6 +44,7 @@ from skellam_fields import (
     sample_point_field,
     sample_poisson,
     scaled_compound_sample,
+    srf_pgf,
     srf_pmf,
 )
 from skellam_fields.field_integrals import IntegralOrders, rl_integral_moments, rl_integral_sample
@@ -67,6 +69,14 @@ PMFS = {
     "fsrf2_pmf": (lambda s, t, r, n: fsrf2_pmf(_kind("II", r), s, t, n), (0, 1, -2)),
     "fsrf3_pmf": (lambda s, t, r, n: fsrf3_pmf(_kind("III", r), s, t, n), (0, 1, -2)),
 }
+
+
+# Each pgf at a point below, at and above u = 1; u itself is on its own grid.
+PGFS = {
+    "srf_pgf": lambda s, t, r, u: srf_pgf(SkellamParams(r, r), u, s, t),
+    "fsrf2_pgf": lambda s, t, r, u: fsrf2_pgf(_kind("II", r), u, s, t),
+}
+PGF_POINTS = (0.5, 1.0, 2.0)
 
 
 def _jumps(r):
@@ -116,20 +126,21 @@ MOMENTS = {
 SECOND_POINTS = {"coincident": GridPoint, "unit": lambda s, t: GridPoint(1.0, 1.0)}
 
 
-def _breaches(call, check):
-    """The grid points where ``call`` raises outside the package's error
-    types or returns a value that ``check`` refuses."""
+def _breaches(call, check, points=GRID):
+    """The points (by default the (s, t, rate) grid) where ``call`` raises
+    outside the package's error types or returns a value that ``check``
+    refuses."""
     out = []
-    for s, t, rate in GRID:
+    for point in points:
         try:
-            value = call(s, t, rate)
+            value = call(*point)
         except SkellamFieldsError:
             continue
         except Exception as e:  # any other type breaks the contract
-            out.append(((s, t, rate), f"{type(e).__name__}: {e}"))
+            out.append((point, f"{type(e).__name__}: {e}"))
             continue
         if not check(value):
-            out.append(((s, t, rate), f"returned {value!r}"))
+            out.append((point, f"returned {value!r}"))
     return out
 
 
@@ -140,6 +151,22 @@ def test_pmf_contract(name):
         breaches = _breaches(lambda s, t, r: pmf(s, t, r, n),
                              lambda p: math.isfinite(p) and 0.0 <= p <= 1.0)
         assert not breaches, f"{name}(n={n}): {breaches[:5]}"
+
+
+@pytest.mark.parametrize("name", PGFS)
+def test_pgf_contract(name):
+    pgf = PGFS[name]
+
+    def check(g):
+        return math.isfinite(g) and g >= 0.0
+
+    for u in PGF_POINTS:
+        breaches = _breaches(lambda s, t, r: pgf(s, t, r, u), check)
+        assert not breaches, f"{name}(u={u}): {breaches[:5]}"
+    breaches = _breaches(lambda u: pgf(1.0, 1.0, 1.0, u), check, [(u,) for u in EDGES])
+    assert not breaches, f"{name} over u: {breaches}"
+    with pytest.raises(ValidationError, match="u: "):
+        pgf(1.0, 1.0, 1.0, math.nan)
 
 
 @pytest.mark.parametrize("name", SAMPLERS)
@@ -166,9 +193,22 @@ def test_moments_contract(name, second):
     lambda: rl_integral_sample(1.0, IntegralOrders(1.0, 1.0), math.nan, 1.0, RngStream(1)),
     lambda: lattice_sample(LatticeSpec(4), _jumps(1.0), 1.0, math.nan, RngStream(1)),
     lambda: scaled_compound_sample(1.0, lambda gen, n: np.ones(n), math.nan, 1.0, RngStream(1)),
-], ids=["fprf_pmf", "srf_pmf", "rl_integral_sample", "lattice_sample", "scaled_compound_sample"])
+    lambda: srf_pgf(SkellamParams(1.0, 1.0), 0.5, math.nan, 1.0),
+    lambda: fsrf2_pgf(_kind("II", 1.0), 0.8, 1.0, math.nan),
+], ids=["fprf_pmf", "srf_pmf", "rl_integral_sample", "lattice_sample", "scaled_compound_sample",
+        "srf_pgf", "fsrf2_pgf"])
 def test_nan_time_is_named(call):
     with pytest.raises(ValidationError, match="s/t"):
+        call()
+
+
+@pytest.mark.parametrize("call", [
+    lambda: srf_pgf(SkellamParams(1.0, 1.0), 0.5, 1e300, 1.0),
+    lambda: srf_pgf(SkellamParams(1.0, 1.0), 0.5, 1e300, 1e300),
+    lambda: fsrf2_pgf(_kind("II", 1.0), 0.8, 1e300, 1e300),
+], ids=["srf_pgf-overflow", "srf_pgf-nan-exponent", "fsrf2_pgf-nan-argument"])
+def test_pgf_past_double_range_is_named(call):
+    with pytest.raises(ArgumentRangeError, match="double range"):
         call()
 
 

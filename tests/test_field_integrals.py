@@ -1,5 +1,8 @@
 import math
+import subprocess
+import sys
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -7,6 +10,7 @@ from skellam_fields import (
     CfGrid,
     GsrfParams,
     IntegralOrders,
+    QuadratureError,
     RngStream,
     ValidationError,
     empirical_cf,
@@ -175,3 +179,65 @@ class TestScaledCompound:
         with pytest.raises(ValidationError):
             scaled_compound_sample(5.0, lambda g, n: np.ones(n + 1), 1.0, 1.0,
                                    RngStream(53), size=10)
+
+
+def _riemann_cf_oracle(lam, s, t, xi):
+    """40-digit CF of the Riemann integral of a Poisson field: with a = xi s t,
+    int_0^1 e^{i a u} (-ln u) du - 1 = Si(a)/a - 1 + i Cin(a)/a, where
+    Cin(a) = gamma + ln|a| - Ci(|a|)."""
+    with mpmath.workdps(40):
+        a = mpmath.mpf(xi) * s * t
+        inner = (mpmath.si(a) / a - 1
+                 + 1j * (mpmath.euler + mpmath.log(abs(a)) - mpmath.ci(abs(a))) / a)
+        return complex(mpmath.exp(lam * s * t * inner))
+
+
+class TestLogWeightRule:
+    """The Gauss rule for -ln u on (0, 1) behind every field-integral CF."""
+
+    @pytest.mark.parametrize("nodes", [72, 144])
+    def test_moments_are_exact(self, nodes):
+        # int_0^1 u^k (-ln u) du = 1 / (k + 1)^2, exact for k < 2 nodes
+        from skellam_fields.field_integrals import _log_weight_rule
+
+        x, w = _log_weight_rule(nodes)
+        for k in range(2 * nodes):
+            assert np.dot(w, x ** k) * (k + 1) ** 2 == pytest.approx(1.0, rel=1e-12)
+
+    @pytest.mark.parametrize("nodes", [72, 144])
+    def test_positive_weights_interior_nodes(self, nodes):
+        from skellam_fields.field_integrals import _log_weight_rule
+
+        x, w = _log_weight_rule(nodes)
+        assert x.shape == w.shape == (nodes,)
+        assert np.all(w > 0.0)
+        assert np.all((x > 0.0) & (x < 1.0))
+
+    def test_prf_cf_against_sine_cosine_integral_oracle(self):
+        for a in [*np.arange(-150.0, 150.5, 2.5), 1e-6, -1e-3, 0.37]:
+            if a == 0.0:
+                continue
+            for lam, s, t in ((1.0, 1.0, 1.0), (0.3, 2.0, 0.5), (2.5, 0.4, 1.5)):
+                xi = a / (s * t)
+                assert abs(prf_integral_cf(lam, s, t, xi)
+                           - _riemann_cf_oracle(lam, s, t, xi)) < 1e-12, (a, lam, s, t)
+
+    def test_node_doubling_envelope(self):
+        # |xi s t| <= 220 passes the 72-against-144 check; 199 passed the
+        # earlier tensor rule too
+        for a in (199.0, -199.0, 220.0):
+            prf_integral_cf(1.0, 1.0, 1.0, a)
+        levy_integral_cf(prf_log_cf(1.0), 2.0, 0.5, 199.0)
+        for a in (221.0, -230.0, 500.0):
+            with pytest.raises(QuadratureError, match="node doubling"):
+                prf_integral_cf(1.0, 1.0, 1.0, a)
+        with pytest.raises(QuadratureError, match="levy_integral_cf"):
+            levy_integral_cf(prf_log_cf(1.0), 2.0, 0.5, 300.0)
+
+    def test_no_rule_is_built_at_import(self):
+        code = ("import skellam_fields\n"
+                "from skellam_fields.field_integrals import _log_weight_rule\n"
+                "print(_log_weight_rule.cache_info().currsize)")
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              check=True)
+        assert proc.stdout.strip() == "0"

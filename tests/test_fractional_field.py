@@ -120,6 +120,13 @@ class TestFprf:
         with pytest.raises(SeriesNonConvergenceError, match="cancellation noise"):
             fprf_pmf(2.0, 0.7, 0.7, 1.0, 1.0, 12)
 
+    def test_inner_cancellation_names_the_noise(self):
+        # at rate 6 the inner Wright sum reaches its term cap before the outer
+        # sum sees its noise
+        with pytest.raises(SeriesNonConvergenceError,
+                           match=r"wright\(x=-6.0\): cancellation noise"):
+            fprf_pmf(6.0, 0.7, 0.7, 1.0, 1.0, 0)
+
     def test_series_vs_sampler(self):
         draws = fprf_sample(1.0, 0.7, 0.7, 1.0, 1.0, RngStream(21), size=30_000)
         analytic = series_table(lambda n: fprf_pmf(1.0, 0.7, 0.7, 1.0, 1.0, n), 0, 10)
