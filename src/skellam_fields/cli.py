@@ -14,7 +14,7 @@ import json
 import math
 import sys
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cache, cached_property
 from typing import Callable
 
 import numpy as np
@@ -50,8 +50,7 @@ from .skellam_field import (
     gsrf_moments,
     srf_pmf_table,
 )
-from .suites import DEFAULT_SEED, run_suite, suite_names
-from .verification import McConfig, convergence_study
+from .verification import DEFAULT_SEED, McConfig, convergence_study
 
 
 _EXACT_INT = 2.0 ** 53  # below it in magnitude, every integer is a float64
@@ -485,6 +484,8 @@ def cmd_converge(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    from .suites import run_suite, suite_names  # imported on use: only verify runs suites
+
     names = suite_names() if args.suite == "all" else [args.suite]
     seed = args.seed if args.seed is not None else DEFAULT_SEED
     results = []
@@ -504,7 +505,10 @@ def cmd_verify(args) -> int:
     return 0 if all(r.passed for r in results) else 1
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built on the first call and shared after it: parsing
+    keeps no state in it, since ``--set`` appends to a fresh list per parse."""
     parser = argparse.ArgumentParser(
         prog="skellam-fields",
         description="Skellam and fractional Skellam random fields: tables, samples, "
@@ -539,8 +543,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except UnknownSuiteError as exc:

@@ -9,6 +9,7 @@ point in closed form, so no mesh discretization error enters any comparison.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -179,8 +180,12 @@ def _unit_square_mean(f: Callable[[np.ndarray], np.ndarray], nodes: int) -> comp
 
 
 def _stable_unit_square_mean(f, label: str) -> complex:
-    v72 = _unit_square_mean(f, 72)
-    v144 = _unit_square_mean(f, 144)
+    # A non-finite integrand is refused by name below, so numpy need not warn.
+    with np.errstate(over="ignore", invalid="ignore"):
+        v72 = _unit_square_mean(f, 72)
+        v144 = _unit_square_mean(f, 144)
+    if not (cmath.isfinite(v72) and cmath.isfinite(v144)):
+        raise ArgumentRangeError(f"{label}: the integrand leaves the double range")
     err = abs(v144 - v72)
     if err >= _CF_QUAD_STABILITY * max(1.0, abs(v72)):
         raise QuadratureError(f"{label}: node doubling moved the value by {err:g}")
@@ -205,16 +210,39 @@ def gsrf_log_cf(params: GsrfParams) -> Callable[[np.ndarray], np.ndarray]:
     return log_phi
 
 
+def _cf_argument(s: float, t: float, xi: float, label: str) -> float:
+    """xi s t, after checking the times and xi."""
+    if not (s >= 0.0 and t >= 0.0):
+        raise ValidationError("s/t: must be >= 0")
+    if not math.isfinite(xi):
+        raise ValidationError("xi: must be finite")
+    a = xi * s * t
+    if not math.isfinite(a):
+        raise ArgumentRangeError(f"{label}: xi s t = {a:g} leaves the double range")
+    return a
+
+
+def _cf_exp(scale: float, inner: complex, label: str) -> complex:
+    """exp(scale inner), refused when the exponent leaves the double range."""
+    z = scale * inner
+    if not cmath.isfinite(z):
+        raise ArgumentRangeError(f"{label}: the exponent leaves the double range")
+    return complex(np.exp(z))
+
+
 def prf_integral_cf(lam: float, s: float, t: float, xi: float) -> complex:
     """CF of the Riemann integral of a Poisson field:
-    exp(lam s t int_0^1 int_0^1 (e^{i xi s t x y} - 1) dx dy)."""
+    exp(lam s t int_0^1 int_0^1 (e^{i xi s t x y} - 1) dx dy).
+
+    Raises ArgumentRangeError when xi s t or the exponent leaves the double
+    range."""
     if not lam > 0.0:
         raise ValidationError("lam: must be > 0")
+    a = _cf_argument(s, t, xi, "prf_integral_cf")
     if xi == 0.0:
         return 1.0 + 0.0j
-    a = xi * s * t
     inner = _stable_unit_square_mean(lambda g: np.exp(1j * a * g) - 1.0, "prf_integral_cf")
-    return complex(np.exp(lam * s * t * inner))
+    return _cf_exp(lam * s * t, inner, "prf_integral_cf")
 
 
 def levy_integral_cf(log_cf_at_unit: Callable[[np.ndarray], np.ndarray],
@@ -223,13 +251,14 @@ def levy_integral_cf(log_cf_at_unit: Callable[[np.ndarray], np.ndarray],
     exp(s t int_0^1 int_0^1 log phi(xi s t x y) dx dy).
 
     ``log_cf_at_unit`` must be the principal-branch log-CF of the unit-box
-    increment law, continuous in xi.
+    increment law, continuous in xi.  Raises ArgumentRangeError when xi s t,
+    the integrand or the exponent leaves the double range.
     """
+    a = _cf_argument(s, t, xi, "levy_integral_cf")
     if xi == 0.0:
         return 1.0 + 0.0j
-    a = xi * s * t
     inner = _stable_unit_square_mean(lambda g: log_cf_at_unit(a * g), "levy_integral_cf")
-    return complex(np.exp(s * t * inner))
+    return _cf_exp(s * t, inner, "levy_integral_cf")
 
 
 def gsrf_integral_sample(params: GsrfParams, s: float, t: float,

@@ -21,6 +21,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -130,6 +131,14 @@ class FsrfModel:
 # The time-changed Skellam field N(E1(s), E2(t)): the core of every model
 
 
+@lru_cache(maxsize=4096)
+def _row_spec(m: int, orders: tuple) -> WrightSpec:
+    """The Wright rows of series term m: (m+1, 1) over (m o + 1, o) per order
+    o < 1, built and validated once per process (bounded cache)."""
+    return WrightSpec(upper=((m + 1.0, 1.0),) * len(orders),
+                      lower=tuple((m * o + 1.0, o) for o in orders))
+
+
 def _time_changed_pmf(l1: float, l2: float, alpha: float, beta: float, s: float, t: float,
                       n: int, label: str, noise_cap: float | None = SERIES_NOISE_CAP) -> tuple:
     """Wright-series point probability of N(E1(s), E2(t)) for a Skellam field
@@ -161,9 +170,7 @@ def _time_changed_pmf(l1: float, l2: float, alpha: float, beta: float, s: float,
 
     def terms():
         for k in (itertools.count() if ya > 0.0 and yb > 0.0 else range(1)):
-            m = m0 + 2 * k
-            spec = WrightSpec(upper=((m + 1.0, 1.0),) * len(orders),
-                              lower=tuple((m * o + 1.0, o) for o in orders))
+            spec = _row_spec(m0 + 2 * k, orders)
             # The Wright range check comes first: inside it the coefficient
             # cannot overflow.
             try:
@@ -501,17 +508,27 @@ def fsrf3_sample(model: FsrfModel, s: float, t: float, rng: RngStream,
     return int(out) if size is None else out
 
 
+@lru_cache(maxsize=4096)
+def _fprf_component(lam: float, alpha: float, beta: float, s: float, t: float,
+                    m: int) -> tuple:
+    """(value, noise) of the fractional Poisson pmf at m, summed uncapped;
+    memoized per process in a bounded cache, refusals never cached."""
+    return _time_changed_pmf(lam, 0.0, alpha, beta, s, t, m, "", None)
+
+
 def fsrf3_pmf(model: FsrfModel, s: float, t: float, n: int) -> float:
     """Point probability of N1 - N2 as the convolution of the component pmfs.
 
     Sums p1(|n| + k) p2(k) over k >= 0.  Each factor is a fractional Poisson
     pmf, the kind-I Wright series at lambda2 = 0, summed without a cap; the
     products carry the factors' noises and their sum aborts once the noise
-    passes SERIES_NOISE_CAP.  Wright values are memoized, so a table
-    evaluates p2(k) once for all n.  A component with alpha + beta < 1 raises
-    ConvergenceGuardError.  The branch for negative n swaps the two component
-    fields, so the symmetric case (equal rates and orders) is even in n by
-    construction.
+    passes SERIES_NOISE_CAP.  Each factor's (value, noise) is memoized per
+    (rate, orders, s, t, m) in a bounded process-wide cache, so a table sums
+    every p1(m) and p2(k) once for all n.  A factor that refuses is not
+    cached: it is summed again to raise with the calling n in its message.
+    A component with alpha + beta < 1 raises ConvergenceGuardError.  The
+    branch for negative n swaps the two component fields, so the symmetric
+    case (equal rates and orders) is even in n by construction.
     """
     _require_kind(model, "III")
     l1, l2 = model.params.lambda1, model.params.lambda2
@@ -521,10 +538,16 @@ def fsrf3_pmf(model: FsrfModel, s: float, t: float, n: int) -> float:
     m = abs(n)
     label = f"fsrf3_pmf(n={n}) component pmf"
 
+    def component(lam, alpha, beta, j):
+        try:
+            return _fprf_component(lam, alpha, beta, s, t, j)
+        except SkellamFieldsError:
+            return _time_changed_pmf(lam, 0.0, alpha, beta, s, t, j, label, None)
+
     def terms():
         for k in itertools.count():
-            pa, ea = _time_changed_pmf(la, 0.0, aa, ba, s, t, m + k, label, None)
-            pb, eb = _time_changed_pmf(lb, 0.0, ab, bb, s, t, k, label, None)
+            pa, ea = component(la, aa, ba, m + k)
+            pb, eb = component(lb, ab, bb, k)
             yield pa * pb, ea * abs(pb) + abs(pa) * eb + ea * eb
 
     value, _ = sum_series_tracked(terms(), label=f"fsrf3_pmf(n={n})",

@@ -62,6 +62,7 @@ from .skellam_field import (
 )
 from .specfun import WrightSpec, bessel_i, mittag_leffler2, mittag_leffler3, wright
 from .verification import (
+    DEFAULT_SEED,
     ComparisonReport,
     McConfig,
     Metric,
@@ -76,8 +77,6 @@ from .verification import (
 )
 
 __all__ = ["SUITES", "SuiteResult", "run_suite", "suite_names", "DEFAULT_SEED"]
-
-DEFAULT_SEED = 20250811
 
 _UNIT = BoxRegion((0.0, 0.0), (1.0, 1.0))
 

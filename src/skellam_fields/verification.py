@@ -31,6 +31,7 @@ from .skellam_field import (
 from .sampling import BoxRegion
 
 __all__ = [
+    "DEFAULT_SEED",
     "McConfig",
     "Metric",
     "ComparisonReport",
@@ -50,6 +51,9 @@ __all__ = [
 Z_GATE = 4.0
 
 _SHARD = 8192
+
+# Base seed of the verification suites and of the CLI's Monte Carlo commands.
+DEFAULT_SEED = 20250811
 
 
 @dataclass(frozen=True)

@@ -403,6 +403,51 @@ def test_sample_poisson_mean_out_of_range(settings, capsys):
     assert err.startswith("error:") and "Poisson mean" in err
     assert "Traceback" not in err
 
+# Successive calls that differ in --set keys and --seed, the last with no
+# --seed at all: a parser shared between calls must not carry any of them over.
+SUCCESSIVE_CALLS = (
+    ["sample", "--set", "model=SRF", "--set", "lambda1=2", "--set", "lambda2=1",
+     "--set", "s=1", "--set", "t=1", "--set", "replicates=25", "--seed", "7"],
+    ["sample", "--set", "model=PRF", "--set", "lambda=3", "--set", "s=0.5",
+     "--set", "t=2", "--set", "replicates=25", "--seed", "11"],
+    ["moments", "--set", "model=FPRF", "--set", "lambda=1", "--set", "alpha=0.7",
+     "--set", "beta=0.8", "--set", "s=1", "--set", "t=1.5", "--format", "json"],
+    ["sample", "--set", "model=PRF", "--set", "lambda=3", "--set", "s=0.5",
+     "--set", "t=2", "--set", "replicates=25"],
+)
+
+
+def test_successive_main_calls_match_fresh_processes(capsys):
+    in_process = []
+    for argv in SUCCESSIVE_CALLS:
+        code = main(list(argv))
+        in_process.append((code, *capsys.readouterr()))
+    fresh = []
+    for argv in SUCCESSIVE_CALLS:
+        proc = subprocess.run([sys.executable, "-m", "skellam_fields.cli", *argv],
+                              capture_output=True, text=True)
+        fresh.append((proc.returncode, proc.stdout, proc.stderr))
+    assert in_process == fresh
+    assert build_parser() is build_parser()
+
+
+def test_cli_import_builds_no_parser_and_leaves_suites_out():
+    script = "\n".join([
+        "import contextlib, io, sys",
+        "import skellam_fields.cli as cli",
+        "built = cli.build_parser.cache_info().currsize",
+        "argv = ['pmf', '--set', 'model=SRF', '--set', 'lambda1=1', '--set', 'lambda2=1',",
+        "        '--set', 's=1', '--set', 't=1']",
+        "with contextlib.redirect_stdout(io.StringIO()):",
+        "    code = cli.main(argv)",
+        "print(built, code, cli.build_parser.cache_info().currsize,",
+        "      'skellam_fields.suites' in sys.modules)",
+    ])
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "0 0 1 False\n"
+
+
 def test_workers_flag_only_on_mc_commands():
     parser = build_parser()
     assert parser.parse_args(["converge", "--workers", "2"]).workers == 2

@@ -1,9 +1,11 @@
-"""The public-entry contract at the edges of every argument: a pmf, pgf, sampler
-or moment function either returns finite values (pmf entries in [0, 1]) or raises a
+"""The public-entry contract at the edges of every argument: a pmf, pgf, CF,
+sampler or moment function either returns finite values (pmf entries in
+[0, 1], CF values of modulus at most 1) or raises a
 SkellamFieldsError subclass that names the cause, never a bare numpy or math
 error and never a numpy RuntimeWarning ahead of the refusal.  The grid is
 deterministic because the edge values are the point."""
 
+import cmath
 import itertools
 import math
 
@@ -47,7 +49,14 @@ from skellam_fields import (
     srf_pgf,
     srf_pmf,
 )
-from skellam_fields.field_integrals import IntegralOrders, rl_integral_moments, rl_integral_sample
+from skellam_fields.field_integrals import (
+    IntegralOrders,
+    gsrf_log_cf,
+    levy_integral_cf,
+    prf_integral_cf,
+    rl_integral_moments,
+    rl_integral_sample,
+)
 
 pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
@@ -109,6 +118,15 @@ SAMPLERS = {
 }
 
 
+# Each field-integral CF at a negative and a positive xi; xi itself is on its
+# own grid.
+CFS = {
+    "prf_integral_cf": lambda s, t, r, xi: prf_integral_cf(r, s, t, xi),
+    "levy_integral_cf": lambda s, t, r, xi: levy_integral_cf(gsrf_log_cf(_jumps(r)), s, t, xi),
+}
+CF_POINTS = (-1.0, 0.5)
+
+
 # Two-point moments pair the grid point with itself (the coincident kernel)
 # and with the unit point (a far-apart pair at the large edges).
 MOMENTS = {
@@ -167,6 +185,32 @@ def test_pgf_contract(name):
     assert not breaches, f"{name} over u: {breaches}"
     with pytest.raises(ValidationError, match="u: "):
         pgf(1.0, 1.0, 1.0, math.nan)
+
+
+@pytest.mark.parametrize("name", CFS)
+def test_cf_contract(name):
+    cf = CFS[name]
+
+    def check(value):
+        return isinstance(value, complex) and cmath.isfinite(value) and abs(value) <= 1.0 + 1e-12
+
+    for xi in CF_POINTS:
+        breaches = _breaches(lambda s, t, r: cf(s, t, r, xi), check)
+        assert not breaches, f"{name}(xi={xi}): {breaches[:5]}"
+    breaches = _breaches(lambda xi: cf(1.0, 1.0, 1.0, xi), check, [(xi,) for xi in EDGES])
+    assert not breaches, f"{name} over xi: {breaches}"
+
+
+@pytest.mark.parametrize("name", CFS)
+@pytest.mark.parametrize("args, error, match", [
+    ((-1.0, 1.0, 1.0, 1.0), ValidationError, "s/t"),
+    ((1.0, math.nan, 1.0, 1.0), ValidationError, "s/t"),
+    ((1.0, 1.0, 1.0, math.nan), ValidationError, "xi"),
+    ((1e300, 1e300, 1.0, 1.0), ArgumentRangeError, "double range"),
+], ids=["negative-time", "nan-time", "nan-xi", "xi-s-t-overflow"])
+def test_cf_refusal_is_named(name, args, error, match):
+    with pytest.raises(error, match=match):
+        CFS[name](*args)
 
 
 @pytest.mark.parametrize("name", SAMPLERS)

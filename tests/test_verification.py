@@ -13,6 +13,7 @@ from skellam_fields import (
     Metric,
     PmfTable,
     RngStream,
+    SkellamParams,
     ValidationError,
     convergence_study,
     covariance_z_check,
@@ -20,9 +21,11 @@ from skellam_fields import (
     empirical_pmf,
     moment_z_check,
     sample_sharded,
+    srf_pmf_table,
     tv_distance,
     variance_z_check,
 )
+from skellam_fields.verification import _tv_noise_floor
 
 PARAMS = GsrfParams(((1.0, 2.0), (-1.0, 1.0)))
 
@@ -185,3 +188,18 @@ class TestConvergenceStudy:
         params = GsrfParams(((1.0, 1.0), (2.0, 0.5)))
         reports = convergence_study(params, 1.0, 1.0, (32,), self.CFG, tv_threshold=1.0)
         assert reports[0].value < 0.1
+
+    def test_noise_floor_value_counts_the_tail(self):
+        # A window that leaves a tenth of the mass outside, so the tail term matters.
+        ref = srf_pmf_table(SkellamParams(2.0, 1.0), 1.0, 1.0, -1, 2)
+        assert ref.tail_mass > 0.1
+        n = 5000
+        direct = (0.5 * sum(math.sqrt(p * (1.0 - p) / n) for p in ref.probs)
+                  + 0.5 * math.sqrt(ref.tail_mass * (1.0 - ref.tail_mass) / n))
+        assert _tv_noise_floor(ref, n) == pytest.approx(direct, rel=1e-12)
+
+    def test_skellam_jumps_use_exact_bessel_reference(self):
+        # The floor of an empirical reference would differ from the Bessel table's.
+        reports = convergence_study(PARAMS, 1.0, 1.0, (8,), self.CFG, window=(-2, 3))
+        exact = srf_pmf_table(SkellamParams(2.0, 1.0), 1.0, 1.0, -2, 3)
+        assert reports[0].metadata["noise_floor"] == _tv_noise_floor(exact, self.CFG.replicates)
