@@ -2,12 +2,18 @@
 and writes medians, quartiles and per-metric wins as one JSON file.
 
     python3 tools/bench_pairs.py --parent ../parent --change . \\
-        --workload tables --pairs 12 --setup-pairs 12 --out BENCH_NN.json
+        --workload tables --pairs 12 --setup-pairs 12 --one-shot-pairs 10 \\
+        --out BENCH_NN.json
 
 Pair i runs the parent first when i is even and the change first when i is
 odd.  Each run is ``python3 perfbench/run.py --workload W --seed S --seconds
-T --trace 0`` in its checkout; its last stdout line is the result.  With
-``--setup-pairs`` it also runs ``perfbench/setup_probe.py`` in pairs.  It
+T --trace 0`` in its checkout, T being ``run_seconds`` of the change's
+``BENCHMARK.json``; its last stdout line is the result.  Besides the
+benchmark's metrics, each run reports its first round's wall time, the one
+round that meets the process's caches empty.  With ``--setup-pairs`` it also
+runs ``perfbench/setup_probe.py`` in pairs.  With ``--one-shot-pairs`` every
+``tables`` request runs once in a fresh process, after the benchmark's
+warm-up, as a one-shot CLI call does; a run sums those requests' times.  It
 only runs those scripts and reads what they write: nothing under
 ``perfbench/`` is edited.
 
@@ -37,6 +43,21 @@ import numpy as np
 
 RUN_TIMEOUT_S = 1800
 ORDER = "pair i runs the parent first when i is even, the change first when i is odd"
+# Run in a checkout with a request name: prints the seconds of that one
+# request in a fresh process; with no name, prints every request name.
+ONE_SHOT = """\
+import json, sys, time
+sys.path[:0] = ["src", "."]
+from perfbench.workloads import run_cli, table_requests, warm_up
+if len(sys.argv) == 1:
+    print(json.dumps(list(table_requests())))
+    raise SystemExit
+argv = table_requests()[sys.argv[1]]
+warm_up()
+t0 = time.perf_counter()
+run_cli(argv)
+print(repr(time.perf_counter() - t0))
+"""
 
 
 def _run(checkout: Path, argv: list) -> str:
@@ -95,20 +116,29 @@ def summarize(runs: list, metric_names: list, bounds: dict, better: dict) -> dic
     return out
 
 
-def _op_median_sums(checkout: Path, workload: str, seed: int) -> tuple:
-    """(sums, provenance) from the run's result file: the per-op median
-    latencies summed by op family, the text before the op name's first dot."""
+def _family_sums(values: dict) -> dict:
+    """Values summed by op family, the text before the op name's first dot."""
+    sums: dict = {}
+    for name, value in values.items():
+        family = name.split(".", 1)[0]
+        sums[family] = sums.get(family, 0.0) + value
+    return sums
+
+
+def _result_file(checkout: Path, workload: str, seed: int) -> tuple:
+    """(per-run figures, provenance) from the run's result file: the per-op
+    median latencies summed by op family, and the first round's wall time."""
     path = checkout / "perfbench" / "out" / f"result-{workload}-seed{seed}-trace0.json"
     result = json.loads(path.read_text())
-    sums: dict = {}
-    for name, ms in result["summary"]["op_median_ms"].items():
-        family = name.split(".", 1)[0]
-        sums[family] = sums.get(family, 0.0) + ms
-    return sums, result["provenance"]
+    figures = {f"op_median_sum_ms.{k}": v
+               for k, v in _family_sums(result["summary"]["op_median_ms"]).items()}
+    figures["first_round_wall_s"] = result["summary"]["round_walls_s"][0]
+    return figures, result["provenance"]
 
 
 def workload_pairs(parent: Path, change: Path, workload: str, pairs: int, seed: int,
-                   seconds: float, spec: dict) -> tuple:
+                   spec: dict) -> tuple:
+    seconds = spec["run_seconds"]
     command = ["perfbench/run.py", "--workload", workload, "--seed", str(seed),
                "--seconds", str(seconds), "--trace", "0"]
     runs, provenance = [], {}
@@ -116,21 +146,20 @@ def workload_pairs(parent: Path, change: Path, workload: str, pairs: int, seed: 
         for side in _sides(i):
             checkout = parent if side == "parent" else change
             line = json.loads(_run(checkout, command))
-            sums, provenance[side] = _op_median_sums(checkout, workload, seed)
+            figures, provenance[side] = _result_file(checkout, workload, seed)
             runs.append({"pair": i, "side": side, "correct": line["correct"],
                          "attempted": line["attempted"], "failed": line["failed"],
                          "metrics": {k: v["value"] for k, v in line["metrics"].items()},
-                         "op_median_sums_ms": sums})
+                         "figures": figures})
             print(f"{workload} pair {i} {side}: wall_s "
                   f"{line['metrics']['wall_s']['value']:.4g}", file=sys.stderr)
     e2e = {m["name"]: m for m in spec["end_to_end"]}
     names = list(runs[0]["metrics"])
     summary = summarize(runs, names, {n: e2e[n]["bound"] for n in names if n in e2e},
                         {n: e2e[n]["better"] if n in e2e else "lower" for n in names})
-    families = list(runs[0]["op_median_sums_ms"])
-    family_runs = [{**r, "metrics": r["op_median_sums_ms"]} for r in runs]
-    summary.update({f"op_median_sum_ms.{k}": v for k, v in summarize(
-        family_runs, families, {}, dict.fromkeys(families, "lower")).items()})
+    figures = list(runs[0]["figures"])
+    summary.update(summarize([{**r, "metrics": r["figures"]} for r in runs], figures, {},
+                             dict.fromkeys(figures, "lower")))
     section = {"command": "python3 " + " ".join(command), "order": ORDER,
                "summary": summary, "runs": runs}
     return section, provenance
@@ -149,6 +178,23 @@ def setup_pairs(parent: Path, change: Path, pairs: int, bound: float | None) -> 
             "summary": summary, "runs": runs}
 
 
+def one_shot_pairs(parent: Path, change: Path, pairs: int) -> dict:
+    names = json.loads(_run(change, ["-c", ONE_SHOT]))
+    runs = []
+    for i in range(pairs):
+        for side in _sides(i):
+            checkout = parent if side == "parent" else change
+            times = {name: float(_run(checkout, ["-c", ONE_SHOT, name])) for name in names}
+            figures = {f"one_shot_sum_s.{k}": v for k, v in _family_sums(times).items()}
+            runs.append({"pair": i, "side": side, "one_shot_s": times,
+                         "metrics": {"one_shot_sum_s": sum(times.values()), **figures}})
+    metrics = list(runs[0]["metrics"])
+    return {"command": "each tables request once in a fresh process, after warm_up()",
+            "order": ORDER,
+            "summary": summarize(runs, metrics, {}, dict.fromkeys(metrics, "lower")),
+            "runs": runs}
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--parent", type=Path, required=True, help="parent checkout")
@@ -157,8 +203,8 @@ def main(argv=None) -> int:
                         help="workload to pair (repeatable)")
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--seed", type=int, default=1)
-    parser.add_argument("--seconds", type=float, default=30.0)
     parser.add_argument("--setup-pairs", type=int, default=0)
+    parser.add_argument("--one-shot-pairs", type=int, default=0)
     parser.add_argument("--what", default="", help="one line on what the change does")
     parser.add_argument("--out", type=Path, required=True)
     args = parser.parse_args(argv)
@@ -168,10 +214,12 @@ def main(argv=None) -> int:
     provenance = {}
     for workload in args.workload:
         out[f"{workload}_pairs"], provenance = workload_pairs(
-            parent, change, workload, args.pairs, args.seed, args.seconds, spec)
+            parent, change, workload, args.pairs, args.seed, spec)
     if args.setup_pairs:
         bound = next((m["bound"] for m in spec["end_to_end"] if m["name"] == "setup_s"), None)
         out["setup_probe_pairs"] = setup_pairs(parent, change, args.setup_pairs, bound)
+    if args.one_shot_pairs:
+        out["one_shot_pairs"] = one_shot_pairs(parent, change, args.one_shot_pairs)
     if provenance:
         prov = provenance["change"]
         out["machine"] = {k: prov[k] for k in ("nproc", "cpu_model", "python", "numpy")}
