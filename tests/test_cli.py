@@ -133,6 +133,10 @@ def _per_value_text(draws) -> str:
 EXACT = 2 ** 53  # float64 holds every integer below it in magnitude
 
 
+def _ulps(x: float) -> list:
+    return [np.nextafter(x, -math.inf), x, np.nextafter(x, math.inf)]
+
+
 @pytest.mark.parametrize("draws", [
     np.array([0, -1, 7, -123456789012, 2 ** 62, -(2 ** 63)], dtype=np.int64),
     np.array([0.0, -0.0, 5e-324, 1e17, 2.0 ** 53 + 2, math.inf, -math.inf, math.nan,
@@ -153,11 +157,37 @@ EXACT = 2 ** 53  # float64 holds every integer below it in magnitude
     np.array([-7], dtype=np.int64),
     np.array([-2.0]),
     np.array([-1, 3, 0, 2], dtype=np.int32),
+    np.array(_ulps(1e-4) + _ulps(-1e-4)),
+    np.array(_ulps(1e16) + _ulps(-1e16)),
+    np.array([v for k in range(-5, 18) for v in _ulps(10.0 ** k)]),
+    np.array([2.0 ** 49 + j + f for j in range(8) for f in (0.125, 0.375, 0.625, 0.875)]),
+    np.array([6e14 + 0.125, -(6e14 + 0.375), 2.5, 0.5, 1e15 + 0.5]),
+    np.array([5e-324, -5e-324, 2.2250738585072009e-308, -1e-310]),
+    np.array([0.0, -0.0, 0.0, -0.0]),
+    np.array([0.25, math.nan, -3.5, math.inf, 0.0, -math.inf, 1e-7, -0.0, 7.125, 1e300,
+              123456.789, 5e-324, -2.0]),
+    np.array([math.nan if i % 4096 in (0, 4095) else (i - 20_000) / 7.0 for i in range(40_000)]),
 ], ids=["int64", "float64", "empty-int", "empty-float", "integral-float-negatives",
         "float-below-2^53", "float-above-minus-2^53", "float-at-2^53", "float-1e17", "minus-zero",
         "int-range-wider-than-array", "float-range-wider-than-array", "int64-top",
-        "int64-bottom", "int64-constant", "int64-single", "float-single", "int32"])
+        "int64-bottom", "int64-constant", "int64-single", "float-single", "int32",
+        "1e-4+-ulp", "1e16+-ulp", "pow10+-ulp", "halfway-2^49", "halfway-other",
+        "subnormals", "signed-zeros", "mixed-fallback", "fallback-across-chunks"])
 def test_sample_formatter_matches_per_value_form(draws):
+    assert _format_draws(draws) == _per_value_text(draws)
+
+
+@given(hnp.arrays(np.uint64, st.integers(0, 60)))
+@settings(max_examples=300, deadline=None)
+def test_real_formatter_bit_patterns(bits):
+    draws = bits.view(np.float64)
+    assert _format_draws(draws) == _per_value_text(draws)
+
+
+@given(hnp.arrays(np.float64, st.integers(0, 60),
+                  elements=st.floats(1e-5, 1e17).flatmap(lambda v: st.sampled_from([v, -v]))))
+@settings(max_examples=300, deadline=None)
+def test_real_formatter_fixed_range(draws):
     assert _format_draws(draws) == _per_value_text(draws)
 
 
@@ -455,6 +485,20 @@ def test_workers_flag_only_on_mc_commands():
     for command in ("pmf", "sample", "moments", "cf"):
         with pytest.raises(SystemExit):
             parser.parse_args([command, "--workers", "2"])
+
+
+@pytest.mark.parametrize("command", ["pmf", "sample", "moments", "cf"])
+def test_workers_key_only_on_converge(command, tmp_path, capsys):
+    point = ["--set", "s=1", "--set", "t=1"]
+    base = [command, "--set", "model=PRF", "--set", "lambda=1", *point]
+    config = tmp_path / "mc.cfg"
+    config.write_text("workers = 2\n")
+    for extra in (["--set", "workers=2"], ["--config", str(config)]):
+        assert main(base + extra) == 2
+        assert "workers" in capsys.readouterr().err
+    assert main(["converge", "--set", "model=SRF", "--set", "lambda1=2", "--set", "lambda2=1",
+                 *point, "--set", "workers=2", "--set", "replicates=1000",
+                 "--set", "k_values=4"]) == 0
 
 
 DESK_MODELS = {

@@ -12,10 +12,13 @@ T --trace 0`` in its checkout, T being ``run_seconds`` of the change's
 benchmark's metrics, each run reports its first round's wall time, the one
 round that meets the process's caches empty.  With ``--setup-pairs`` it also
 runs ``perfbench/setup_probe.py`` in pairs.  With ``--one-shot-pairs`` every
-``tables`` request runs once in a fresh process, after the benchmark's
-warm-up, as a one-shot CLI call does; a run sums those requests' times.  It
-only runs those scripts and reads what they write: nothing under
-``perfbench/`` is edited.
+``tables`` request, and every ``CLI_SAMPLES`` request (seed 1, 100k
+replicates, written with ``-o`` into a temporary directory), runs once in a
+fresh process, after the benchmark's warm-up, as a one-shot CLI call does.
+A run sums the ``tables`` requests' times as ``one_shot_sum_s`` and every
+family's (``pmf``, ``moments``, ``cf``, ``sample``) on its own.  It only runs
+those scripts and reads what they write: nothing under ``perfbench/`` is
+edited.
 
 Quartiles are numpy's linear percentiles 25 and 75.  A pair is a win when the
 change reads better than the parent; ties count for neither side.  Each
@@ -46,17 +49,28 @@ ORDER = "pair i runs the parent first when i is even, the change first when i is
 # Run in a checkout with a request name: prints the seconds of that one
 # request in a fresh process; with no name, prints every request name.
 ONE_SHOT = """\
-import json, sys, time
+import json, sys, tempfile, time
+from pathlib import Path
 sys.path[:0] = ["src", "."]
-from perfbench.workloads import run_cli, table_requests, warm_up
+from perfbench.workloads import CLI_SAMPLES, REPLICATES, _settings, run_cli, table_requests, warm_up
+requests = table_requests()
+requests.update({f"sample.{name}": ["sample", *_settings(values, s=1, t=1, replicates=REPLICATES),
+                                "--seed", "1"] for name, values in CLI_SAMPLES.items()})
 if len(sys.argv) == 1:
-    print(json.dumps(list(table_requests())))
+    print(json.dumps(list(requests)))
     raise SystemExit
-argv = table_requests()[sys.argv[1]]
-warm_up()
-t0 = time.perf_counter()
-run_cli(argv)
-print(repr(time.perf_counter() - t0))
+name = sys.argv[1]
+with tempfile.TemporaryDirectory() as tmp:
+    argv = requests[name]
+    if argv[0] == "sample":
+        argv += ["-o", str(Path(tmp) / "draws.txt")]
+    warm_up()
+    t0 = time.perf_counter()
+    code = run_cli(argv)[0]
+    elapsed = time.perf_counter() - t0
+if code:
+    raise SystemExit(f"{name} exited with {code}")
+print(repr(elapsed))
 """
 
 
@@ -185,11 +199,14 @@ def one_shot_pairs(parent: Path, change: Path, pairs: int) -> dict:
         for side in _sides(i):
             checkout = parent if side == "parent" else change
             times = {name: float(_run(checkout, ["-c", ONE_SHOT, name])) for name in names}
-            figures = {f"one_shot_sum_s.{k}": v for k, v in _family_sums(times).items()}
+            families = _family_sums(times)
+            tables = sum(v for k, v in families.items() if k != "sample")
+            figures = {f"one_shot_sum_s.{k}": v for k, v in families.items()}
             runs.append({"pair": i, "side": side, "one_shot_s": times,
-                         "metrics": {"one_shot_sum_s": sum(times.values()), **figures}})
+                         "metrics": {"one_shot_sum_s": tables, **figures}})
     metrics = list(runs[0]["metrics"])
-    return {"command": "each tables request once in a fresh process, after warm_up()",
+    return {"command": "each tables request, and each CLI_SAMPLES request at seed 1 with "
+                       "-o into a temporary directory, once in a fresh process, after warm_up()",
             "order": ORDER,
             "summary": summarize(runs, metrics, {}, dict.fromkeys(metrics, "lower")),
             "runs": runs}

@@ -16,6 +16,15 @@ The argv lists are written out here, so the test does not import
 ``perfbench``.  Sample bytes depend on numpy's Generator algorithms, so the
 numpy version is recorded too.  A change that means to move a printed number
 re-runs this script and says which requests moved, by how much and why.
+
+It also writes tests/data/gates.json, which tests/test_acceptance.py pins:
+``DEFAULT_SEED`` and, per suite in ``suite_names()`` order, every gate as
+``run_suite(name, seed=DEFAULT_SEED, workers=2)`` reports it (criterion,
+metric, threshold and the ``repr`` of its value as a float).  That runs
+every suite, ``fprf`` included, so it takes as long as ``verify --suite
+all``.  A change that moves a gate value re-freezes it and lists each moved
+gate with its old and new value; a threshold or the seed is never
+re-frozen to pass a test.
 """
 
 from __future__ import annotations
@@ -34,8 +43,10 @@ import numpy as np  # noqa: E402
 
 from perfbench.workloads import CLI_SAMPLES, REPLICATES, _settings, table_requests  # noqa: E402
 from skellam_fields import cli  # noqa: E402
+from skellam_fields.suites import DEFAULT_SEED, run_suite, suite_names  # noqa: E402
 
 GOLDEN_PATH = ROOT / "tests" / "data" / "golden.json"
+GATES_PATH = ROOT / "tests" / "data" / "gates.json"
 SAMPLE_SEEDS = (1, 2, 3)
 
 FPRF_DESK = ["--set", "alpha=0.7", "--set", "beta=0.7", "--set", "s=1", "--set", "t=1"]
@@ -64,6 +75,14 @@ def sha256(text: str) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
 
 
+def gate_record(result) -> list:
+    """A suite result's gates in order, as tests/test_acceptance.py rebuilds them."""
+    return [{"criterion": rep.metadata.get("criterion", rep.metric.value),
+             "metric": rep.metric.value, "threshold": rep.threshold,
+             "value": repr(float(rep.value))}
+            for rep in result.reports]
+
+
 def main() -> None:
     tables = []
     for name, argv in table_requests().items():
@@ -90,6 +109,11 @@ def main() -> None:
     GOLDEN_PATH.write_text(json.dumps(payload, indent=1) + "\n")
     print(f"wrote {len(tables)} tables, {len(samples)} samples and {len(refusals)} "
           f"refusals to {GOLDEN_PATH.relative_to(ROOT)}")
+    suites = {name: gate_record(run_suite(name, seed=DEFAULT_SEED, workers=2))
+              for name in suite_names()}
+    GATES_PATH.write_text(json.dumps({"seed": DEFAULT_SEED, "suites": suites}, indent=1) + "\n")
+    print(f"wrote {sum(map(len, suites.values()))} gates of {len(suites)} suites to "
+          f"{GATES_PATH.relative_to(ROOT)}")
 
 
 if __name__ == "__main__":
