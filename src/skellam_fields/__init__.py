@@ -19,7 +19,7 @@ from .errors import (
     ValidationError,
     WindowMismatchError,
 )
-from .specfun import WrightSpec, bessel_i, log_gamma, mittag_leffler2, mittag_leffler3, wright
+from .specfun import WrightSpec, bessel_i, log_gamma, mittag_leffler2, mittag_leffler3
 from .rng import RngStream
 from .sampling import (
     BoxRegion,
@@ -78,7 +78,6 @@ from .field_integrals import (
     gsrf_log_cf,
     levy_integral_cf,
     prf_integral_cf,
-    prf_log_cf,
     rl_integral_moments,
     rl_integral_sample,
     scaled_compound_sample,

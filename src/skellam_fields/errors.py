@@ -21,7 +21,13 @@ class ArgumentRangeError(SkellamFieldsError, ValueError):
 
 
 class SeriesNonConvergenceError(SkellamFieldsError, ArithmeticError):
-    """A truncated series hit its term cap before the stopping rule fired."""
+    """A truncated series hit its term cap before the stopping rule fired, its
+    noise passed its cap, or the term-range guard met a term beyond e^700.
+    ``.record`` is the refused sum's ``series.SeriesSum``."""
+
+    def __init__(self, message: str, record=None):
+        super().__init__(message)
+        self.record = record
 
 
 class GammaPoleError(SkellamFieldsError, ValueError):

@@ -31,7 +31,6 @@ __all__ = [
     "levy_integral_cf",
     "gsrf_integral_sample",
     "scaled_compound_sample",
-    "prf_log_cf",
     "gsrf_log_cf",
 ]
 
@@ -190,11 +189,6 @@ def _stable_unit_square_mean(f, label: str) -> complex:
     if err >= _CF_QUAD_STABILITY * max(1.0, abs(v72)):
         raise QuadratureError(f"{label}: node doubling moved the value by {err:g}")
     return v72
-
-
-def prf_log_cf(lam: float) -> Callable[[np.ndarray], np.ndarray]:
-    """Log-CF of the unit-box Poisson count: lam (e^{i xi} - 1)."""
-    return lambda xi: lam * (np.exp(1j * np.asarray(xi)) - 1.0)
 
 
 def gsrf_log_cf(params: GsrfParams) -> Callable[[np.ndarray], np.ndarray]:

@@ -41,9 +41,9 @@ from .sampling import (
     DEFAULT_PATH_STEP,
 )
 # sum_series and mittag_leffler3 are unused here: the benchmark tracer patches them.
-from .series import sum_series, sum_series_tracked
+from .series import cancellation_error, sum_series, sum_series_tracked
 from .skellam_field import GridPoint, SkellamParams, srf_pde_residual
-from .specfun import WrightSpec, mittag_leffler2, mittag_leffler3, wright_capped, wright_tracked
+from .specfun import WrightSpec, mittag_leffler2, mittag_leffler3, wright_tracked
 
 __all__ = [
     "FracOrders",
@@ -84,6 +84,11 @@ _gamma = math.gamma
 
 def _order_ok(x: float) -> bool:
     return 0.0 < x <= 1.0
+
+
+def _require_times(s: float, t: float):
+    if not (s >= 0.0 and t >= 0.0):
+        raise ValidationError("s/t: must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -152,8 +157,7 @@ def _time_changed_pmf(l1: float, l2: float, alpha: float, beta: float, s: float,
     Gamma(m + 1 + r) rows above and below cancel exactly.  A refusal of the
     Wright evaluator is re-raised with label and n in front.
     """
-    if not (s >= 0.0 and t >= 0.0):
-        raise ValidationError("s/t: must be >= 0")
+    _require_times(s, t)
     q = s ** alpha * t ** beta
     if q == 0.0:
         return (1.0 if n == 0 else 0.0), 0.0
@@ -174,17 +178,13 @@ def _time_changed_pmf(l1: float, l2: float, alpha: float, beta: float, s: float,
             # The Wright range check comes first: inside it the coefficient
             # cannot overflow.
             try:
-                try:
-                    w, w_noise = wright_tracked(spec, x)
-                except SeriesNonConvergenceError:
-                    if spec.convergence_margin == 0.0 or coef(k) == 0.0:
-                        raise
-                    # An entire series that cancels can reach its term cap
-                    # before the outer sum sees its noise: summed again under
-                    # the outer cap over its coefficient, it names the noise.
-                    wright_capped(spec, x, cap / coef(k))
-                    raise
+                w, w_noise = wright_tracked(spec, x)[:2]
             except SkellamFieldsError as e:
+                # An entire series that cancels can stop before the outer sum
+                # sees its noise: refuse it as noise past cap / coef(k).
+                if (isinstance(e, SeriesNonConvergenceError) and spec.convergence_margin != 0.0
+                        and coef(k) != 0.0 and e.record.noise > cap / coef(k)):
+                    e = cancellation_error(f"wright(x={x})", cap / coef(k), e.record)
                 raise type(e)(f"{where}: {e}") from e
             c = coef(k)
             yield c * w, c * w_noise
@@ -192,7 +192,7 @@ def _time_changed_pmf(l1: float, l2: float, alpha: float, beta: float, s: float,
     def coef(k):
         return math.exp((m0 + k) * lqa + k * lqb - _lgamma(m0 + k + 1) - _lgamma(k + 1))
 
-    return sum_series_tracked(terms(), label=where, noise_cap=noise_cap)
+    return sum_series_tracked(terms(), label=where, noise_cap=noise_cap)[:2]
 
 
 def _time_changed_sample(l1: float, l2: float, alpha: float, beta: float, s: float,
@@ -473,8 +473,7 @@ def fsrf2_pgf(model: FsrfModel, u: float, s: float, t: float) -> float:
     _require_kind(model, "II")
     if not u > 0.0:
         raise ValidationError("u: must be > 0")
-    if not (s >= 0.0 and t >= 0.0):
-        raise ValidationError("s/t: must be >= 0")
+    _require_times(s, t)
     l1, l2 = model.params.lambda1, model.params.lambda2
     q = s ** model.orders.alpha * t
     x = l1 * q * (u - 1.0) + l2 * q * (1.0 / u - 1.0)
@@ -487,8 +486,7 @@ def fsrf2_pgf(model: FsrfModel, u: float, s: float, t: float) -> float:
 def fsrf2_moments(model: FsrfModel, s: float, t: float):
     """Closed-form (mean, var) of the singly time-changed field."""
     _require_kind(model, "II")
-    if not (s >= 0.0 and t >= 0.0):
-        raise ValidationError("s/t: must be >= 0")
+    _require_times(s, t)
     return _time_changed_mean_var(model.params.lambda1, model.params.lambda2,
                                   model.orders.alpha, 1.0, s, t)
 
@@ -512,7 +510,8 @@ def fsrf3_sample(model: FsrfModel, s: float, t: float, rng: RngStream,
 def _fprf_component(lam: float, alpha: float, beta: float, s: float, t: float,
                     m: int) -> tuple:
     """(value, noise) of the fractional Poisson pmf at m, summed uncapped;
-    memoized per process in a bounded cache, refusals never cached."""
+    memoized per process in a bounded cache, refusals never cached.  A
+    refusal's message starts with "(n=m)"."""
     return _time_changed_pmf(lam, 0.0, alpha, beta, s, t, m, "", None)
 
 
@@ -524,8 +523,8 @@ def fsrf3_pmf(model: FsrfModel, s: float, t: float, n: int) -> float:
     products carry the factors' noises and their sum aborts once the noise
     passes SERIES_NOISE_CAP.  Each factor's (value, noise) is memoized per
     (rate, orders, s, t, m) in a bounded process-wide cache, so a table sums
-    every p1(m) and p2(k) once for all n.  A factor that refuses is not
-    cached: it is summed again to raise with the calling n in its message.
+    every p1(m) and p2(k) once for all n.  A factor that refuses is re-raised
+    with the calling n in front of its message.
     A component with alpha + beta < 1 raises ConvergenceGuardError.  The
     branch for negative n swaps the two component fields, so the symmetric
     case (equal rates and orders) is even in n by construction.
@@ -536,13 +535,13 @@ def fsrf3_pmf(model: FsrfModel, s: float, t: float, n: int) -> float:
     fields = [(l1, o.alpha, o.beta), (l2, o.alpha2, o.beta2)]
     (la, aa, ba), (lb, ab, bb) = fields if n >= 0 else fields[::-1]
     m = abs(n)
-    label = f"fsrf3_pmf(n={n}) component pmf"
+    _require_times(s, t)
 
     def component(lam, alpha, beta, j):
         try:
             return _fprf_component(lam, alpha, beta, s, t, j)
-        except SkellamFieldsError:
-            return _time_changed_pmf(lam, 0.0, alpha, beta, s, t, j, label, None)
+        except SkellamFieldsError as e:
+            raise type(e)(f"fsrf3_pmf(n={n}) component pmf{e}") from e
 
     def terms():
         for k in itertools.count():
@@ -550,9 +549,8 @@ def fsrf3_pmf(model: FsrfModel, s: float, t: float, n: int) -> float:
             pb, eb = component(lb, ab, bb, k)
             yield pa * pb, ea * abs(pb) + abs(pa) * eb + ea * eb
 
-    value, _ = sum_series_tracked(terms(), label=f"fsrf3_pmf(n={n})",
-                                  noise_cap=SERIES_NOISE_CAP)
-    return value
+    return sum_series_tracked(terms(), label=f"fsrf3_pmf(n={n})",
+                              noise_cap=SERIES_NOISE_CAP)[0]
 
 
 @moments_in_range

@@ -25,7 +25,7 @@ from .errors import (
     SeriesNonConvergenceError,
     ValidationError,
 )
-from .series import sum_series, sum_series_tracked
+from .series import SeriesSum, sum_series, sum_series_tracked
 
 __all__ = [
     "log_gamma",
@@ -33,9 +33,7 @@ __all__ = [
     "mittag_leffler3",
     "mittag_leffler2",
     "WrightSpec",
-    "wright",
     "wright_tracked",
-    "wright_capped",
     "BESSEL_ML_MAX_ARG",
     "WRIGHT_MAX_ARG",
 ]
@@ -138,15 +136,14 @@ def mittag_leffler3(alpha: float, beta: float, gamma: float, x: float) -> float:
             yield parts[0] - parts[1] - parts[2] - parts[3], sum(abs(p) for p in parts)
 
     label = f"mittag_leffler3({alpha}, {beta}, {gamma}, {x})"
-    value, noise = sum_series_tracked(_tracked_power_terms(log_coeffs(), x), label=label)
+    record = sum_series_tracked(_tracked_power_terms(log_coeffs(), x), label=label)
     # The alternating series for strongly negative x cancels catastrophically
     # at small alpha; refuse to return rounding noise.  The noise figure is a
     # conservative upper bound, typically a few orders above realized error.
-    if noise > 1e-6 * max(1.0, abs(value)):
+    if record.noise > 1e-6 * max(1.0, abs(record.value)):
         raise SeriesNonConvergenceError(
-            f"{label}: cancellation noise {noise:g} exceeds the accuracy budget"
-        )
-    return value
+            f"{label}: cancellation noise {record.noise:g} exceeds the accuracy budget", record)
+    return record.value
 
 
 def mittag_leffler2(alpha: float, x: float) -> float:
@@ -178,19 +175,6 @@ class WrightSpec:
                 - sum(al for _, al in self.upper) + 1.0)
 
 
-def wright(spec: WrightSpec, x: float) -> float:
-    """Generalized Wright function pPsi_q at real x.
-
-    Sums prod_i Gamma(a_i + n*alpha_i) x^n / (prod_j Gamma(b_j + n*beta_j) n!)
-    under the stopping rule.  Requires the convergence margin
-    sum(beta) - sum(alpha) + 1 >= 0; at margin 0 the series converges only
-    inside the radius prod_i alpha_i^-alpha_i prod_j beta_j^beta_j, and the
-    stopping rule and term cap refuse x outside it.  The pmf series that call
-    this never place a gamma pole on the summation path.
-    """
-    return wright_tracked(spec, x)[0]
-
-
 def _wright_log_coeffs(spec: WrightSpec):
     for n in itertools.count():
         lg = -math.lgamma(n + 1)
@@ -207,22 +191,17 @@ def _wright_log_coeffs(spec: WrightSpec):
 
 
 @lru_cache(maxsize=4096)
-def wright_tracked(spec: WrightSpec, x: float) -> tuple:
-    """Wright evaluation returning (value, cancellation noise estimate).
+def wright_tracked(spec: WrightSpec, x: float) -> SeriesSum:
+    """Generalized Wright function pPsi_q at real x, as the series core's record.
 
-    The pmf outer sums that scale Wright values by tiny prefactors use this
-    to keep an honest absolute-error budget when the alternating series
-    cancels heavily.  Values are memoized per (spec, x) in a bounded
-    process-wide cache, so a pmf table evaluates each Wright value once;
-    refusals raise and are not cached.
+    Sums prod_i Gamma(a_i + n*alpha_i) x^n / (prod_j Gamma(b_j + n*beta_j) n!)
+    under the stopping rule.  Requires the convergence margin
+    sum(beta) - sum(alpha) + 1 >= 0; at margin 0 the series converges only
+    inside the radius prod_i alpha_i^-alpha_i prod_j beta_j^beta_j, and the
+    stopping rule and term cap refuse x outside it.  The pmf series that call
+    this never place a gamma pole on the summation path.  Values are memoized
+    per (spec, x) in a bounded process-wide cache; refusals are not cached.
     """
-    return wright_capped(spec, x, None)
-
-
-def wright_capped(spec: WrightSpec, x: float, noise_cap: float | None) -> tuple:
-    """:func:`wright_tracked` uncached, summed under ``noise_cap``: once the
-    noise passes the cap the sum raises SeriesNonConvergenceError naming the
-    cancellation."""
     if spec.convergence_margin < 0.0:
         raise ConvergenceGuardError(
             f"wright: convergence margin {spec.convergence_margin:g} is negative"
@@ -230,4 +209,4 @@ def wright_capped(spec: WrightSpec, x: float, noise_cap: float | None) -> tuple:
     if abs(x) > WRIGHT_MAX_ARG:
         raise ArgumentRangeError(f"wright: |x| must be <= {WRIGHT_MAX_ARG}, got {x}")
     return sum_series_tracked(_tracked_power_terms(_wright_log_coeffs(spec), x),
-                              label=f"wright(x={x})", noise_cap=noise_cap)
+                              label=f"wright(x={x})")

@@ -18,7 +18,6 @@ from skellam_fields import (
     gsrf_log_cf,
     levy_integral_cf,
     prf_integral_cf,
-    prf_log_cf,
     rl_integral_moments,
     rl_integral_sample,
     scaled_compound_sample,
@@ -26,6 +25,8 @@ from skellam_fields import (
 
 GRID = CfGrid.default()
 RIEMANN = IntegralOrders(1.0, 1.0)
+# log-CF lam (e^{i xi} - 1) of the unit-box Poisson count at lam = 1
+POISSON_LOG_CF = gsrf_log_cf(GsrfParams(((1.0, 1.0),)))
 
 
 class TestTypes:
@@ -105,12 +106,12 @@ class TestMoments:
 class TestCfIdentities:
     def test_cf_at_zero(self):
         assert prf_integral_cf(1.0, 1.0, 1.0, 0.0) == 1.0
-        assert levy_integral_cf(prf_log_cf(1.0), 1.0, 1.0, 0.0) == 1.0
+        assert levy_integral_cf(POISSON_LOG_CF, 1.0, 1.0, 0.0) == 1.0
 
     def test_levy_specializes_to_poisson_field(self):
         for xi in GRID.xi_values:
             a = prf_integral_cf(1.0, 1.0, 1.0, xi)
-            b = levy_integral_cf(prf_log_cf(1.0), 1.0, 1.0, xi)
+            b = levy_integral_cf(POISSON_LOG_CF, 1.0, 1.0, xi)
             assert abs(a - b) < 1e-10
 
     def test_integral_sampler_matches_cf(self):
@@ -227,12 +228,12 @@ class TestLogWeightRule:
         # earlier tensor rule too
         for a in (199.0, -199.0, 220.0):
             prf_integral_cf(1.0, 1.0, 1.0, a)
-        levy_integral_cf(prf_log_cf(1.0), 2.0, 0.5, 199.0)
+        levy_integral_cf(POISSON_LOG_CF, 2.0, 0.5, 199.0)
         for a in (221.0, -230.0, 500.0):
             with pytest.raises(QuadratureError, match="node doubling"):
                 prf_integral_cf(1.0, 1.0, 1.0, a)
         with pytest.raises(QuadratureError, match="levy_integral_cf"):
-            levy_integral_cf(prf_log_cf(1.0), 2.0, 0.5, 300.0)
+            levy_integral_cf(POISSON_LOG_CF, 2.0, 0.5, 300.0)
 
     def test_no_rule_is_built_at_import(self):
         code = ("import skellam_fields\n"

@@ -120,12 +120,17 @@ class TestFprf:
         with pytest.raises(SeriesNonConvergenceError, match="cancellation noise"):
             fprf_pmf(2.0, 0.7, 0.7, 1.0, 1.0, 12)
 
-    def test_inner_cancellation_names_the_noise(self):
-        # at rate 6 the inner Wright sum reaches its term cap before the outer
-        # sum sees its noise
-        with pytest.raises(SeriesNonConvergenceError,
-                           match=r"wright\(x=-6.0\): cancellation noise"):
-            fprf_pmf(6.0, 0.7, 0.7, 1.0, 1.0, 0)
+    @pytest.mark.parametrize("lam, alpha, beta", [(6.0, 0.7, 0.7), (3.0, 0.5, 0.52)],
+                             ids=["term-cap", "term-range"])
+    def test_inner_cancellation_names_the_noise(self, lam, alpha, beta):
+        # the inner Wright sum stops before the outer sum sees its noise: at
+        # rate 6 at its term cap, at orders (0.5, 0.52) at the e^700 guard on
+        # its terms, after which its noise is known from the terms before
+        with pytest.raises(SeriesNonConvergenceError) as info:
+            fprf_pmf(lam, alpha, beta, 1.0, 1.0, 0)
+        assert str(info.value) == (
+            f"fprf_pmf(n=0): wright(x=-{lam}): cancellation noise exceeds 0.001; "
+            "arguments are outside the double-precision-stable envelope")
 
     def test_series_vs_sampler(self):
         draws = fprf_sample(1.0, 0.7, 0.7, 1.0, 1.0, RngStream(21), size=30_000)
@@ -480,10 +485,10 @@ def _paper_double_series(model, s, t, n):
                 )
                 coef = math.exp((r + m) * lya + l * lyb - math.lgamma(r + 1)
                                 - math.lgamma(l + 1))
-                w, w_noise = wright_tracked(spec, x)
+                w, w_noise = wright_tracked(spec, x)[:2]
                 yield (-coef * w if (r + l) % 2 else coef * w), coef * w_noise
 
-        return sum_series_tracked(terms())
+        return sum_series_tracked(terms())[:2]
 
     rows = (row(r) for r in itertools.count())
     return sum_series_tracked(rows)[0]
@@ -504,6 +509,18 @@ class TestFsrf3:
         for n in (1, 2, 3, 4):
             assert (fsrf3_pmf(self.SYMMETRIC, 1.0, 1.0, n)
                     == fsrf3_pmf(self.SYMMETRIC, 1.0, 1.0, -n))
+
+    def test_component_refusals_name_the_calling_n(self):
+        model = FsrfModel("III", SkellamParams(8.0, 4.0), FracOrders(0.7, 0.7, 0.9, 0.9))
+        for n in (0, -2):  # at n = -2 the rate-4 factor at 2 sums, the rate-8 one at 0 refuses
+            with pytest.raises(SeriesNonConvergenceError) as info:
+                fsrf3_pmf(model, 1.0, 1.0, n)
+            assert str(info.value) == (
+                f"fsrf3_pmf(n={n}) component pmf(n=0): wright(x=-8.0): cancellation noise "
+                "exceeds 0.001; arguments are outside the double-precision-stable envelope")
+        with pytest.raises(ValidationError) as info:
+            fsrf3_pmf(model, -1.0, 1.0, 0)
+        assert str(info.value) == "s/t: must be >= 0"
 
     def test_window_beyond_twelve(self):
         for n in (13, -13):

@@ -19,9 +19,8 @@ from skellam_fields import (
     log_gamma,
     mittag_leffler2,
     mittag_leffler3,
-    wright,
 )
-from skellam_fields.series import sum_series
+from skellam_fields.series import MAX_TERMS, sum_series, sum_series_tracked
 from skellam_fields.specfun import wright_tracked
 
 
@@ -131,42 +130,42 @@ def wright_series_oracle(spec, x, terms, dps=60):
 class TestWright:
     def test_termwise_cancellation_is_exponential(self):
         spec = WrightSpec(((1.0, 1.0), (1.0, 1.0)), ((1.0, 1.0), (1.0, 1.0)))
-        assert wright(spec, -1.3) == pytest.approx(math.exp(-1.3), abs=1e-12)
+        assert wright_tracked(spec, -1.3)[0] == pytest.approx(math.exp(-1.3), abs=1e-12)
         for x in [-1.0, 0.3, 1.3]:
-            assert abs(wright(spec, x) - math.exp(x)) < 1e-12
+            assert abs(wright_tracked(spec, x)[0] - math.exp(x)) < 1e-12
 
     def test_value_at_zero(self):
         spec = WrightSpec(((2.0, 1.0), (1.5, 0.5)), ((1.0, 0.7), (2.5, 0.3), (1.0, 1.0)))
         expected = (math.gamma(2.0) * math.gamma(1.5)
                     / (math.gamma(1.0) * math.gamma(2.5) * math.gamma(1.0)))
-        assert wright(spec, 0.0) == pytest.approx(expected, rel=1e-15)
+        assert wright_tracked(spec, 0.0)[0] == pytest.approx(expected, rel=1e-15)
 
     def test_against_high_precision_oracle(self):
         # parameter rows of the doubly time-changed pmf at m = 0, orders 0.7
         spec = WrightSpec(((1.0, 1.0), (1.0, 1.0)), ((1.0, 0.7), (1.0, 0.7)))
         oracle = wright_series_oracle(spec, -1.5, terms=2000)
-        assert wright(spec, -1.5) == pytest.approx(oracle, rel=1e-12)
+        assert wright_tracked(spec, -1.5)[0] == pytest.approx(oracle, rel=1e-12)
 
     def test_pole_error(self):
         # argument decreases along the path and lands exactly on 0 at n = 2
         spec = WrightSpec(((0.5, -0.25),), ((1.0, 1.0), (1.0, 1.0)))
         with pytest.raises(GammaPoleError):
-            wright(spec, 0.5)
+            wright_tracked(spec, 0.5)
 
     def test_domain_error_for_nonpositive_gamma_argument(self):
         spec = WrightSpec(((-0.4, 0.03),), ((1.0, 1.0), (1.0, 1.0)))
         with pytest.raises((GammaDomainError, GammaPoleError)):
-            wright(spec, 0.5)
+            wright_tracked(spec, 0.5)
 
     def test_convergence_guard(self):
         spec = WrightSpec(((1.0, 1.0), (1.0, 1.0)), ((1.0, 0.4), (1.0, 0.4)))
         with pytest.raises(ConvergenceGuardError):
-            wright(spec, 0.5)
+            wright_tracked(spec, 0.5)
 
     def test_range_guard(self):
         spec = WrightSpec(((1.0, 1.0),), ((1.0, 1.0), (1.0, 1.0)))
         with pytest.raises(ArgumentRangeError):
-            wright(spec, 25.0)
+            wright_tracked(spec, 25.0)
 
     def test_margin_zero_converges_inside_radius(self):
         # margin 0: sum n! x^n / Gamma(1 + n/2)^2 has radius 0.5^0.5 0.5^0.5 = 0.5
@@ -176,10 +175,10 @@ class TestWright:
             oracle = float(mpmath.nsum(
                 lambda n: mpmath.factorial(n) * mpmath.mpf(-0.2) ** n
                 / mpmath.gamma(1 + n / 2) ** 2, [0, mpmath.inf]))
-        assert wright(spec, -0.2) == pytest.approx(oracle, rel=1e-13)
+        assert wright_tracked(spec, -0.2)[0] == pytest.approx(oracle, rel=1e-13)
         for x in (-0.8, 0.8):
             with pytest.raises(SeriesNonConvergenceError):
-                wright(spec, x)
+                wright_tracked(spec, x)
 
     def test_refusal_is_not_cached(self):
         # margin 0 outside the radius 0.5: a refusal is raised again, not cached
@@ -224,6 +223,52 @@ class TestSeriesControl:
     def test_non_convergence_flag(self):
         with pytest.raises(SeriesNonConvergenceError, match="no convergence within 500 terms"):
             sum_series(itertools.repeat(1.0))
+
+    def test_record_of_a_sum_stopped_by_small_terms(self):
+        # 2^-49, 2^-50 and 2^-51 are the first three terms below 1e-15 of 2
+        record = sum_series_tracked((0.5 ** k, 0.0) for k in itertools.count())
+        assert record.value == pytest.approx(2.0, rel=1e-15)
+        assert record.stop == "small" and record.terms == 52
+        assert record.noise == pytest.approx(2.220446049250313e-16)
+        with pytest.raises(AttributeError):
+            record.value = 0.0
+        assert record[:2] == (record.value, record.noise)
+
+    def test_record_of_a_finite_sum(self):
+        record = sum_series_tracked([(1.0, 1e-9), (2.0, 0.0)])
+        assert record == (3.0, 1e-9 + 2.0 * 2.220446049250313e-16, 2, "finite")
+
+    def test_term_cap_refusal_carries_its_record(self):
+        with pytest.raises(SeriesNonConvergenceError, match="no convergence") as info:
+            sum_series_tracked(itertools.repeat((1.0, 0.0)))
+        record = info.value.record
+        assert record.terms == MAX_TERMS and record.stop == "term cap"
+        assert record.value == MAX_TERMS
+
+    def test_noise_cap_refusal_carries_its_record(self):
+        with pytest.raises(SeriesNonConvergenceError,
+                           match="^s: cancellation noise exceeds 0.0025; ") as info:
+            sum_series_tracked(itertools.repeat((1.0, 1e-3)), "s", noise_cap=2.5e-3)
+        record = info.value.record
+        assert record.stop == "noise cap" and record.terms == 3
+        assert record.noise > 2.5e-3 and record.value == 2.0
+
+    def test_iterator_refusal_carries_the_record_before_it(self):
+        def terms():
+            yield 1.0, 0.5
+            yield 2.0, 0.0
+            raise SeriesNonConvergenceError("inner")
+
+        with pytest.raises(SeriesNonConvergenceError, match="^inner$") as info:
+            sum_series_tracked(terms(), noise_cap=1.0)
+        assert info.value.record == (3.0, 0.5 + 2.0 * 2.220446049250313e-16, 2, "term error")
+        # the term-range guard of the power-series terms: the term after 418
+        # passes e^700
+        spec = WrightSpec(((1.0, 1.0), (1.0, 1.0)), ((1.0, 0.5), (1.0, 0.52)))
+        with pytest.raises(SeriesNonConvergenceError, match=r"term magnitude e\^701") as info:
+            wright_tracked(spec, -3.0)
+        assert info.value.record.stop == "term error" and info.value.record.terms == 418
+        assert info.value.record.noise > 1e-3
 
     @given(st.integers(min_value=-8, max_value=8),
            st.floats(min_value=0.01, max_value=10.0, allow_nan=False))

@@ -22,15 +22,17 @@ edited.
 
 Quartiles are numpy's linear percentiles 25 and 75.  A pair is a win when the
 change reads better than the parent; ties count for neither side.  Each
-metric gets a verdict:
+metric gets the first verdict that holds, in this order:
 
+- ``unresolved``: either side's IQR/median exceeds the metric's bound in
+  ``BENCHMARK.json``; if every change run beats every parent run, the
+  verdict is ``better in every run`` instead.  A metric with no bound skips
+  this test;
 - ``gain``: the change wins at least 9 of 10 pairs and its median is better
   than the parent's by more than the parent's interquartile range;
 - ``better in every run``: every change run beats every parent run;
-- ``unresolved``: either side's IQR/median exceeds the metric's bound in
-  ``BENCHMARK.json``;
 - ``regressed``: the change's median is worse than the parent's by more
-  than that bound;
+  than the metric's bound;
 - ``within bound`` otherwise (``no gain`` for a metric with no bound).
 """
 
@@ -96,16 +98,17 @@ def _verdict(parent: list, change: list, wins: int, better: str, bound: float | 
     sign = 1.0 if better == "lower" else -1.0
     p, c = _stats(parent), _stats(change)
     gap = sign * (p["median"] - c["median"])  # > 0 when the change is better
+    every = (max(change) < min(parent)) if better == "lower" else (min(change) > max(parent))
+    spread = max((s["q3"] - s["q1"]) / abs(s["median"]) if s["median"] else 0.0
+                 for s in (p, c))
+    if bound is not None and spread > bound:
+        return "better in every run" if every else "unresolved"
     if wins >= 0.9 * len(parent) and gap > p["q3"] - p["q1"]:
         return "gain"
-    if (max(change) < min(parent)) if better == "lower" else (min(change) > max(parent)):
+    if every:
         return "better in every run"
     if bound is None:
         return "no gain"
-    spread = max((s["q3"] - s["q1"]) / abs(s["median"]) if s["median"] else 0.0
-                 for s in (p, c))
-    if spread > bound:
-        return "unresolved"
     if -gap > bound * abs(p["median"]):
         return "regressed"
     return "within bound"
